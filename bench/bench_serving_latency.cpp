@@ -13,7 +13,7 @@
 //                           [--requests=48] [--load=0.7 (fraction of
 //                            measured capacity)] [--rate=<req/s> (absolute
 //                            override of load x capacity)] [--seed=1234]
-//                           [--executor=graph|serial] [--quick]
+//                           [--quick]
 //                           [--precision=f32|bf16|int8]
 //                           [--sparsity=0 (block-sparse weight density in
 //                            (0,1); 0 = dense)]
@@ -28,7 +28,7 @@
 // Per-request traces also carry the batch's worker occupancy and idle
 // fraction (runtime::ExecStats); their percentiles and quartile histograms
 // land in the JSON so the work-graph executor's overlap shows up in the
-// perf trajectory, and --executor=serial is the apples-to-apples baseline.
+// perf trajectory.
 //
 // --scenario=ramp|burst switches to the traffic-shift harness: arrivals
 // come from an inhomogeneous Poisson process (piecewise-constant rate,
@@ -648,7 +648,6 @@ int main(int argc, char** argv) {
   const double rate_override = args.get_double("rate", 0.0);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1234));
   const std::string precision = args.get("precision", "f32");
-  const std::string executor = args.get("executor", "graph");
   const std::string scenario = args.get("scenario", "steady");
   const auto chaos_seed = static_cast<std::uint64_t>(args.get_int("chaos", 0));
   const bool check = args.get_bool("check", false);
@@ -677,7 +676,7 @@ int main(int argc, char** argv) {
   if (scenario != "steady")
     // Traffic-shift harness: per-layer analytic plan + optional online
     // re-planning instead of the per-policy sweep (fp32 dense; --precision /
-    // --sparsity / --executor apply to the steady sweep only).
+    // --sparsity apply to the steady sweep only).
     return run_scenario(scenario, model, input_hw, threads, requests, load,
                         rate_override, seed, json);
   std::unique_ptr<dnn::Network> net = dnn::build_model(model, input_hw);
@@ -709,13 +708,6 @@ int main(int argc, char** argv) {
   core::ConvolutionEngine engine(std::move(plan));
   runtime::SchedulerConfig cfg;
   cfg.threads = threads;
-  if (executor == "serial") {
-    cfg.executor = runtime::ExecutorKind::Serial;
-  } else if (executor != "graph") {
-    std::fprintf(stderr, "error: unknown --executor=%s (graph|serial)\n",
-                 executor.c_str());
-    return 1;
-  }
   runtime::BatchScheduler sched(engine, cfg);
 
   // Capacity measurement (and warm-up): batch-8 images/sec of the
@@ -734,11 +726,11 @@ int main(int argc, char** argv) {
   const double rate = rate_override > 0.0 ? rate_override : load * capacity_ips;
 
   std::printf("== serving latency vs. micro-batching policy ==\n");
-  std::printf("model=%s input=%d workers=%d executor=%s | capacity ~%.1f "
+  std::printf("model=%s input=%d workers=%d | capacity ~%.1f "
               "images/sec, offered %.1f req/sec (load %.2f%s) | %d "
               "requests/policy\n\n",
-              model.c_str(), input_hw, sched.threads(), executor.c_str(),
-              capacity_ips, rate, rate / capacity_ips,
+              model.c_str(), input_hw, sched.threads(), capacity_ips, rate,
+              rate / capacity_ips,
               rate_override > 0.0 ? ", --rate override" : "", requests);
   std::printf("%-10s %7s | %8s %8s %8s | %8s %8s %8s | %8s %8s %8s | %5s %7s\n",
               "policy", "avg_b", "q_p50", "q_p95", "q_p99", "c_p50", "c_p95",
@@ -776,8 +768,8 @@ int main(int argc, char** argv) {
     const std::array<int, 4> occ_h = quartile_hist(res.occupancy);
     const std::array<int, 4> idle_h = quartile_hist(res.idle_frac);
     json.add(std::string("model=") + model + " precision=" + precision +
-                 " sparsity=" + Table::fmt(sparsity, 2) + " executor=" +
-                 executor + " policy=" + pc.name +
+                 " sparsity=" + Table::fmt(sparsity, 2) +
+                 " policy=" + pc.name +
                  " max_batch=" + std::to_string(pc.max_batch) +
                  " max_wait_ms=" + std::to_string(pc.max_wait_ms),
              res.wall_s * 1e3, static_cast<double>(res.bytes_moved),

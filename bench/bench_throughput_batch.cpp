@@ -5,8 +5,10 @@
 // The headline check: at batch >= 8, 4 workers should deliver >= 2.5x the
 // images/sec of 1 worker on a machine with >= 4 cores (batch items are
 // independent, so scaling is limited only by memory bandwidth and the
-// layer barrier). The batch=1 rows show the intra-op path instead, where
-// the pool shards the GEMM M-panel / Winograd tile loops of a single image.
+// work graph's barrier layers). The batch=1 rows run one chunk per layer:
+// no kernel is split across workers, so extra workers help only where
+// independent graph tasks can overlap, and these rows scale far less than
+// batch >= 8.
 //
 //   ./bench_throughput_batch [--model=tiny|vgg (full yolo is too heavy
 //                             for a scaling sweep)]
@@ -14,12 +16,11 @@
 //                            [--input=96] [--reps=3] [--max-threads=8]
 //                            [--quick] [--json=<path>]
 //
-// The default policy is opt6 because only the 6-loop GEMM (and Winograd)
-// have intra-op pool sharding — opt3 would silently run the batch=1 rows
-// serially at every thread count. --policy=fused runs the fused conv
-// pipeline (implicit-GEMM packing + in-kernel epilogue); --policy=plan
-// runs the simulation-driven per-layer BackendPlan (selected once on the
-// a64fx machine config, then reused for every row). --json appends one
+// The default policy is opt6, the paper's best uniform GEMM (Fig. 3).
+// --policy=fused runs the fused conv pipeline (implicit-GEMM packing +
+// in-kernel epilogue); --policy=plan runs the simulation-driven per-layer
+// BackendPlan (selected once on the a64fx machine config, then reused for
+// every row). --json appends one
 // {bench, config, wall_ms, bytes_moved, images_per_sec, lat_p50/95/99_ms}
 // record per (threads, batch) row for the perf trajectory — the latency
 // percentiles are over the per-rep batch wall times, so BENCH_*.json tracks

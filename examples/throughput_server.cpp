@@ -40,8 +40,6 @@
 //                       [--machine=a64fx|rvv|sve]
 //                       [--max-wait-ms=2] [--deadline-ms=0 (none)]
 //                       [--queue-cap=64] [--block (block-when-full)]
-//                       [--executor=graph|serial (work-graph vs serialized
-//                        batch executor)]
 //                       [--rate=0 (requests/sec; 0 = 80% of measured
 //                        capacity)] [--seed=1234] [--json=<path>]
 //                       [--chaos=0 (fault-injection seed; 0 = off)]
@@ -184,21 +182,12 @@ int main(int argc, char** argv) {
     cfg.fault_injector = &*injector;
     cfg.watchdog_timeout_s = 2.0;
   }
-  const std::string executor = args.get("executor", "graph");
-  if (executor == "serial") {
-    cfg.executor = runtime::ExecutorKind::Serial;
-  } else if (executor != "graph") {
-    std::fprintf(stderr, "error: unknown --executor=%s (graph|serial)\n",
-                 executor.c_str());
-    return 1;
-  }
   runtime::BatchScheduler sched(engine, cfg);
 
   std::printf("serving %s (%zu layers, %d fused shortcuts) | %d requests, "
-              "batch<=%d, %d workers | policy=%s precision=%s executor=%s\n",
+              "batch<=%d, %d workers | policy=%s precision=%s\n",
               model.c_str(), net->num_layers(), folded, requests, batch,
-              sched.threads(), policy.c_str(), precision.c_str(),
-              executor.c_str());
+              sched.threads(), policy.c_str(), precision.c_str());
   std::printf("per-layer dispatch table:\n%s\n",
               engine.plan().summary().c_str());
 

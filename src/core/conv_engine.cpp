@@ -19,23 +19,21 @@ void ConvolutionEngine::set_plan(BackendPlan plan) {
   plan_ = std::make_shared<const BackendPlan>(std::move(plan));
 }
 
-void ConvolutionEngine::install(dnn::ExecContext& ctx,
-                                runtime::ThreadPool* intra_op_pool) {
+void ConvolutionEngine::install(dnn::ExecContext& ctx) {
   const std::shared_ptr<const BackendPlan> plan = plan_;
 
   // Per-context mutable kernel state shared by every backend the plan can
   // route to. One Gemm6 instance backs the plain 6-loop, the fused
   // implicit-GEMM entry and the FC-layer GemmFn, so they share packing
-  // buffers and the intra-op pool wiring; the Winograd instance (own
-  // V/M/stage scratch) sits over the engine-shared read-mostly weight
-  // cache.
+  // buffers; the Winograd instance (own V/M/stage scratch) sits over the
+  // engine-shared read-mostly weight cache.
   struct Backends {
     std::shared_ptr<gemm::Gemm6> gemm6;
     std::shared_ptr<winograd::WinogradConv> wino;
     dnn::GemmFn gemm6_fn, gemm6_conv_fn, gemm3_fn, naive_fn;
   };
   auto st = std::make_shared<Backends>();
-  st->gemm6 = gemm::make_gemm6(plan->opt6, intra_op_pool);
+  st->gemm6 = std::make_shared<gemm::Gemm6>(plan->opt6);
   // Every per-context instance shares the engine's pack-once weight cache
   // (read-only during passes): any layer prepare() packed skips its A-pack
   // stage in every context, fused and unfused Gemm6 paths alike. Only the
@@ -58,7 +56,6 @@ void ConvolutionEngine::install(dnn::ExecContext& ctx,
   if (plan->may_use(Backend::Winograd) ||
       plan->may_use(Backend::FusedWinograd)) {
     st->wino = std::make_shared<winograd::WinogradConv>(&weight_cache_);
-    st->wino->set_intra_op_pool(intra_op_pool);
   }
 
   // FC layers (1xN GEMV) and the base path of un-dispatched contexts run

@@ -110,12 +110,8 @@ class ConvolutionEngine {
   explicit ConvolutionEngine(const EnginePolicy& policy);
   explicit ConvolutionEngine(BackendPlan plan);
 
-  /// Installs the compiled per-context dispatch. `intra_op_pool` (optional)
-  /// shards the GEMM M-panel and Winograd tile loops across a thread pool
-  /// for this context — use only for a context that runs alone (batch-1
-  /// latency mode), not for per-worker contexts of a batch-sharded run.
-  void install(dnn::ExecContext& ctx,
-               runtime::ThreadPool* intra_op_pool = nullptr);
+  /// Installs the compiled per-context dispatch.
+  void install(dnn::ExecContext& ctx);
 
   /// Pre-transforms Winograd weights for every conv layer of `net` the
   /// plan routes to (fused) Winograd, and packs the weights of every layer

@@ -71,11 +71,12 @@ struct LayerRecord {
                              // scheduler; 0 in simulated runs)
 };
 
-/// Deterministically merges per-thread records of the same layer sequence:
-/// `parts` is one records-vector per worker, every non-empty one covering the
-/// same layers in the same order. Items/flops/cycles are summed in worker-id
-/// order, wall_seconds takes the max (the layer barrier waits for the
-/// slowest worker), so the result is independent of thread scheduling.
+/// Deterministically merges partial records of the same layer sequence:
+/// `parts` is one records-vector per work share (runtime::WorkGraph passes
+/// one per item chunk), every non-empty one covering the same layers in the
+/// same order. Items/flops/cycles are summed in part order, wall_seconds
+/// takes the max (the layer finishes with its slowest share), so the result
+/// is independent of thread scheduling.
 inline std::vector<LayerRecord> merge_layer_records(
     const std::vector<std::vector<LayerRecord>>& parts) {
   std::vector<LayerRecord> merged;

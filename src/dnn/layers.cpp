@@ -424,7 +424,7 @@ void ConnectedLayer::forward_item(ExecContext& ctx,
   float* out_b = output_.item_data(b);
   vla::VectorEngine& eng = ctx.engine();
   // out(1×N) += x(1×K) · W^T(K×N): the same microkernel that runs the conv
-  // layers, so FC layers inherit blocking/packing/intra-op sharding.
+  // layers, so FC layers inherit its blocking and packing.
   fill_cpu(eng, static_cast<std::size_t>(out_n_), 0.0f, out_b);
   ctx.gemm(eng, 1, out_n_, in_n_, 1.0f, in_b, in_n_, weights_.data(), out_n_,
            out_b, out_n_);

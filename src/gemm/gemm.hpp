@@ -28,18 +28,9 @@ inline const char* to_string(GemmVariant v) {
   return "?";
 }
 
-/// Materializes a fresh Gemm6 instance (own packing buffers) with its
-/// intra-op pool wired — the single construction point shared by
-/// make_gemm_fn and core::ConvolutionEngine::install (which additionally
-/// exposes the instance's conv_fused entry).
-inline std::shared_ptr<Gemm6> make_gemm6(
-    const Opt6Config& o6, runtime::ThreadPool* intra_op_pool = nullptr) {
-  auto impl = std::make_shared<Gemm6>(o6);
-  impl->set_intra_op_pool(intra_op_pool);
-  return impl;
-}
-
 /// Adapts a shared Gemm6 to the dnn::GemmFn interface.
+/// core::ConvolutionEngine::install shares one instance between this
+/// adapter and the instance's conv_fused entry.
 inline dnn::GemmFn wrap_gemm6(std::shared_ptr<Gemm6> impl) {
   return [impl = std::move(impl)](vla::VectorEngine& eng, int M, int N, int K,
                                   float alpha, const float* A, int lda,
@@ -55,11 +46,9 @@ inline dnn::GemmFn wrap_gemm6(std::shared_ptr<Gemm6> impl) {
 ///
 /// Each call materializes fresh algorithm state (notably the Opt6Loop
 /// packing buffers), so every ExecContext gets its own instance and
-/// contexts can run forward passes concurrently. `intra_op_pool` optionally
-/// shards the Opt6Loop M-panel loop across a thread pool (batch-1 case).
+/// contexts can run forward passes concurrently.
 inline dnn::GemmFn make_gemm_fn(GemmVariant v, const Opt3Config& o3 = {},
-                                const Opt6Config& o6 = {},
-                                runtime::ThreadPool* intra_op_pool = nullptr) {
+                                const Opt6Config& o6 = {}) {
   switch (v) {
     case GemmVariant::Naive:
       return [](vla::VectorEngine& eng, int M, int N, int K, float alpha,
@@ -74,7 +63,7 @@ inline dnn::GemmFn make_gemm_fn(GemmVariant v, const Opt3Config& o3 = {},
         gemm_opt3(eng, o3, M, N, K, alpha, A, lda, B, ldb, C, ldc);
       };
     case GemmVariant::Opt6Loop:
-      return wrap_gemm6(make_gemm6(o6, intra_op_pool));
+      return wrap_gemm6(std::make_shared<Gemm6>(o6));
   }
   return {};
 }

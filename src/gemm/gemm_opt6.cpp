@@ -7,7 +7,6 @@
 
 #include "common/error.hpp"
 #include "dnn/im2col.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace vlacnn::gemm {
 
@@ -133,34 +132,13 @@ void Gemm6::pack_b_panel(vla::VectorEngine& eng, const float* B, int ldb,
   }
 }
 
-vla::VectorEngine& Gemm6::worker_engine(int w, unsigned vlen_bits) {
-  return vla::ensure_worker_engine(worker_engines_, w, vlen_bits);
-}
-
-float* Gemm6::worker_pack_a(int w) {
-  const auto idx = static_cast<std::size_t>(w);
-  if (worker_pack_a_.size() <= idx) {
-    worker_pack_a_.resize(idx + 1);
-    worker_pa_regs_.resize(idx + 1);
-  }
-  if (!worker_pack_a_[idx]) {
-    worker_pack_a_[idx] = std::make_unique<AlignedBuffer<float>>(
-        static_cast<std::size_t>(cfg_.blocks.block_m) * cfg_.blocks.block_k);
-    worker_pa_regs_[idx] = sim::RegisteredRange(
-        worker_pack_a_[idx]->data(),
-        worker_pack_a_[idx]->size() * sizeof(float));
-  }
-  return worker_pack_a_[idx]->data();
-}
-
-void Gemm6::pack_a_panel(vla::VectorEngine& eng, float* dst_buf,
-                         const float* A, int lda, int i0, int mc, int k0,
-                         int kc) {
+void Gemm6::pack_a_panel(vla::VectorEngine& eng, const float* A, int lda,
+                         int i0, int mc, int k0, int kc) {
   // Row-major mc x kc panel so the micro-kernel's scalar A loads walk
   // contiguous memory.
   for (int i = 0; i < mc; ++i)
     vcopy_run(eng, A + static_cast<std::size_t>(i0 + i) * lda + k0,
-              dst_buf + static_cast<std::size_t>(i) * kc, kc);
+              pack_a_buf_.data() + static_cast<std::size_t>(i) * kc, kc);
 }
 
 void Gemm6::micro_kernel(vla::VectorEngine& eng, int mc, int nc, int kc,
@@ -497,15 +475,15 @@ void Gemm6::run_blocked(vla::VectorEngine& eng, int M, int N, int K,
   // Pack-once weight residency: if A has a resident image in the shared
   // cache (packed during ConvolutionEngine::prepare() with this blocking
   // config), consume its panels directly and skip pack_a_panel below — the
-  // image is immutable, so the serial loop and every intra-op worker may
-  // read it concurrently. The shared_ptr keeps the image alive across this
-  // call even if the cache evicts it meanwhile. Consulted only when the
-  // entry point vouched that A IS a weight matrix (a_is_weights — the conv
-  // paths and gemm_weights; never operator(), whose A may be an activation
-  // matrix, as in the FC layers' GEMM) and, via maybe_resident(), only when
-  // anything is resident at all — generic calls never take the shared
-  // mutex or pollute the hit/miss stats. lda == K is required for the
-  // cached layout to correspond to this call's A.
+  // image is immutable, so every context may read it concurrently. The
+  // shared_ptr keeps the image alive across this call even if the cache
+  // evicts it meanwhile. Consulted only when the entry point vouched that A
+  // IS a weight matrix (a_is_weights — the conv paths and gemm_weights;
+  // never operator(), whose A may be an activation matrix, as in the FC
+  // layers' GEMM) and, via maybe_resident(), only when anything is resident
+  // at all — generic calls never take the shared mutex or pollute the
+  // hit/miss stats. lda == K is required for the cached layout to
+  // correspond to this call's A.
   //
   // A reduced-precision request (a_fmt != F32) is residency-or-nothing:
   // quantizing on the hot path would both cost a full M×K sweep per call
@@ -541,9 +519,8 @@ void Gemm6::run_blocked(vla::VectorEngine& eng, int M, int N, int K,
   // Fused epilogue: derive every channel's constants (and charge the
   // per-channel parameter reads the unfused passes would make) once per
   // call — the 1/sqrt is host work, and recharging per panel would
-  // overstate the fused pipeline's traffic. The buffer is written here,
-  // before any fan-out, and read-only inside micro_kernel, so the intra-op
-  // workers may share it.
+  // overstate the fused pipeline's traffic. The buffer is written here and
+  // read-only inside micro_kernel.
   if (epi != nullptr) {
     epi_params_.resize(static_cast<std::size_t>(M));
     for (int ch = 0; ch < M; ++ch) {
@@ -604,50 +581,6 @@ void Gemm6::run_blocked(vla::VectorEngine& eng, int M, int N, int K,
         b_panel = B + static_cast<std::size_t>(k1) * ldb + j1;
         b_stride = ldb;
       }
-      const int m_panels = (M + bs.block_m - 1) / bs.block_m;
-      // Intra-op sharding of the M-panel loop: each panel updates a disjoint
-      // row range of C, so panels can run concurrently once the shared B
-      // panel is packed. Functional engines only — the timing model is a
-      // single instruction stream.
-      const bool parallel = pool_ != nullptr && pool_->size() > 1 &&
-                            eng.context() == nullptr && m_panels >= 2;
-      if (parallel) {
-        const unsigned vlen = eng.vlen_bits();
-        // Materialize per-worker engines/buffers on this thread so the
-        // AddressMap registration order stays deterministic.
-        for (int w = 0; w < pool_->size(); ++w) {
-          worker_engine(w, vlen);
-          if (cfg_.pack_a && !resident) worker_pack_a(w);
-        }
-        // Worker traffic folds into the coordinating engine's counters
-        // after the fan-out (this runs once per (j1, k1) panel, inside the
-        // blocked hot loop; the fold's buffer is reused).
-        traffic_fold_.snapshot(worker_engines_, pool_->size());
-        pool_->parallel_for(m_panels, [&](int p, int w) {
-          const int i1 = p * bs.block_m;
-          const int mc = std::min(bs.block_m, M - i1);
-          vla::VectorEngine& weng = worker_engine(w, vlen);
-          APanel ap;
-          if (resident && resident->sparse()) {
-            ap.fmt = resident->format();
-            ap.sparse = resident.get();
-            ap.k1 = k1;
-          } else if (resident) {
-            ap = {resident->panel_raw(i1, k1, kc), kc, resident->format()};
-          } else if (cfg_.pack_a) {
-            float* buf = worker_pack_a(w);
-            pack_a_panel(weng, buf, A, lda, i1, mc, k1, kc);
-            ap = {buf, kc, PackFormat::F32};
-          } else {
-            ap = {A + static_cast<std::size_t>(i1) * lda + k1, lda,
-                  PackFormat::F32};
-          }
-          micro_kernel(weng, mc, nc, kc, alpha, ap, b_panel, b_stride, C,
-                       ldc, i1, j1, panel_beta0, panel_epi);
-        });
-        traffic_fold_.fold_into(eng, worker_engines_, pool_->size());
-        continue;
-      }
       for (int i1 = 0; i1 < M; i1 += bs.block_m) {
         const int mc = std::min(bs.block_m, M - i1);
         APanel ap;
@@ -658,7 +591,7 @@ void Gemm6::run_blocked(vla::VectorEngine& eng, int M, int N, int K,
         } else if (resident) {
           ap = {resident->panel_raw(i1, k1, kc), kc, resident->format()};
         } else if (cfg_.pack_a) {
-          pack_a_panel(eng, pack_a_buf_.data(), A, lda, i1, mc, k1, kc);
+          pack_a_panel(eng, A, lda, i1, mc, k1, kc);
           ap = {pack_a_buf_.data(), kc, PackFormat::F32};
         } else {
           ap = {A + static_cast<std::size_t>(i1) * lda + k1, lda,

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/aligned_buffer.hpp"
@@ -11,10 +9,6 @@
 #include "gemm/packed_weight_cache.hpp"
 #include "sim/address_map.hpp"
 #include "vla/vector_engine.hpp"
-
-namespace vlacnn::runtime {
-class ThreadPool;
-}  // namespace vlacnn::runtime
 
 namespace vlacnn::gemm {
 
@@ -37,12 +31,7 @@ struct Opt6Config {
 ///
 /// A Gemm6 instance owns mutable packing buffers and must only be driven by
 /// one thread at a time (core::ConvolutionEngine::install() hands each
-/// ExecContext its own instance). With set_intra_op_pool(), the M-panel loop
-/// is additionally sharded across the pool for the batch-1 latency case:
-/// the B panel is packed once, then each worker packs its own A panels
-/// (per-worker buffer + functional engine) and runs the micro-kernel on a
-/// disjoint row range of C — bitwise identical to the serial path.
-/// Instrumented (simulated) runs always stay serial.
+/// ExecContext its own instance).
 class Gemm6 {
  public:
   explicit Gemm6(const Opt6Config& cfg = {});
@@ -123,14 +112,10 @@ class Gemm6 {
                         const dnn::EpilogueDesc* epi,
                         PackFormat weight_format = PackFormat::F32);
 
-  /// Shards the M-panel loop across `pool` when running functionally.
-  void set_intra_op_pool(runtime::ThreadPool* pool) { pool_ = pool; }
-
   /// Wires the engine-shared pack-once weight cache: run_blocked then
   /// consults it per call (keyed by the A pointer and blocking config) and
   /// consumes resident A panels directly, skipping pack_a_panel on the hot
-  /// path — for the serial loop and every intra-op worker alike, since the
-  /// resident image is immutable.
+  /// path.
   void set_weight_cache(PackedWeightCache* cache) { weight_cache_ = cache; }
 
   /// Block-prune density (per-mille) used to key sparse-format residency
@@ -178,8 +163,8 @@ class Gemm6 {
   void pack_b_panel_batched(vla::VectorEngine& eng, const BatchB& bb,
                             const dnn::ConvDesc* conv, int k0, int kc, int j0,
                             int nc);
-  void pack_a_panel(vla::VectorEngine& eng, float* dst_buf, const float* A,
-                    int lda, int i0, int mc, int k0, int kc);
+  void pack_a_panel(vla::VectorEngine& eng, const float* A, int lda, int i0,
+                    int mc, int k0, int kc);
   void micro_kernel(vla::VectorEngine& eng, int mc, int nc, int kc,
                     float alpha, const APanel& a, const float* b_panel,
                     int b_stride, float* C, int ldc, int i0, int j0,
@@ -191,9 +176,6 @@ class Gemm6 {
                            int b_stride, float* C, int ldc, int i0, int j0,
                            bool beta0, const dnn::EpilogueDesc* epi);
 
-  vla::VectorEngine& worker_engine(int w, unsigned vlen_bits);
-  float* worker_pack_a(int w);
-
   Opt6Config cfg_;
   AlignedBuffer<float> pack_a_buf_;
   AlignedBuffer<float> pack_b_buf_;
@@ -202,14 +184,8 @@ class Gemm6 {
   PackedWeightCache* weight_cache_ = nullptr;
   int sparsity_pm_ = 1000;
 
-  runtime::ThreadPool* pool_ = nullptr;
-  std::vector<std::unique_ptr<vla::VectorEngine>> worker_engines_;
-  std::vector<std::unique_ptr<AlignedBuffer<float>>> worker_pack_a_;
-  std::vector<sim::RegisteredRange> worker_pa_regs_;
-  /// Per-panel traffic snapshot/fold of the intra-op workers.
-  vla::WorkerTrafficFold traffic_fold_;
   /// Per-channel fused-epilogue constants, filled once per run_blocked call
-  /// (before any fan-out) and read-only in the microkernel.
+  /// and read-only in the microkernel.
   std::vector<dnn::EpilogueDesc::ChannelParams> epi_params_;
 };
 

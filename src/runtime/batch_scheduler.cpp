@@ -14,16 +14,15 @@ BatchScheduler::BatchScheduler(core::ConvolutionEngine& engine,
     : engine_(&engine), cfg_(cfg), pool_(cfg.threads) {
   graph_ = std::make_unique<WorkGraph>(pool_);
   const int t = pool_.size();
+  worker_engines_.reserve(static_cast<std::size_t>(t));
   worker_ctxs_.reserve(static_cast<std::size_t>(t));
   for (int w = 0; w < t; ++w) {
-    vla::VectorEngine& eng =
-        vla::ensure_worker_engine(worker_engines_, w, cfg_.vlen_bits);
-    worker_ctxs_.push_back(std::make_unique<dnn::ExecContext>(eng));
+    worker_engines_.push_back(
+        std::make_unique<vla::VectorEngine>(cfg_.vlen_bits));
+    worker_ctxs_.push_back(
+        std::make_unique<dnn::ExecContext>(*worker_engines_.back()));
     engine_->install(*worker_ctxs_.back());
   }
-  main_engine_ = std::make_unique<vla::VectorEngine>(cfg_.vlen_bits);
-  main_ctx_ = std::make_unique<dnn::ExecContext>(*main_engine_);
-  engine_->install(*main_ctx_, cfg_.intra_op && t > 1 ? &pool_ : nullptr);
   if (cfg_.fault_injector != nullptr) {
     graph_->set_fault_injector(cfg_.fault_injector);
     FaultInjector* inj = cfg_.fault_injector;
@@ -95,9 +94,8 @@ void BatchScheduler::fail_items(Slot& slot, int begin, int end,
 }
 
 std::uint64_t BatchScheduler::mem_bytes_moved() const {
-  std::uint64_t total = main_engine_->mem_bytes_moved();
-  for (const auto& eng : worker_engines_)
-    if (eng) total += eng->mem_bytes_moved();
+  std::uint64_t total = 0;
+  for (const auto& eng : worker_engines_) total += eng->mem_bytes_moved();
   return total;
 }
 
@@ -219,8 +217,6 @@ void BatchScheduler::install_plan(core::BackendPlan plan) {
   // shared weight caches persist). The next launch's prepare() packs and
   // transforms whatever the new routing needs.
   for (auto& ctx : worker_ctxs_) engine_->install(*ctx);
-  engine_->install(*main_ctx_,
-                   cfg_.intra_op && pool_.size() > 1 ? &pool_ : nullptr);
 
   lock.lock();
   swap_pending_ = false;
@@ -250,23 +246,7 @@ void BatchScheduler::executor_loop() {
       ++running_;
       ++next_exec_;
     }
-
-    // Batch-1 passes gain more from intra-op kernel parallelism (the whole
-    // pool inside one GEMM/Winograd call on the main context) than from a
-    // one-chunk-per-layer graph, so they take the serial path even under
-    // Graph. Everything else goes through the work graph — including a
-    // 1-worker pool, where the graph machinery still runs (zero overlap,
-    // same results).
-    const bool batch1_intra =
-        slot->input->n() == 1 && cfg_.intra_op && pool_.size() > 1;
-    if (cfg_.executor == ExecutorKind::Graph && !batch1_intra) {
-      launch_graph(*slot);  // returns immediately; on_done completes it
-    } else {
-      // The serial path runs outside the graph's hazard tracking, so any
-      // in-flight graph batches must fully retire first.
-      graph_->drain();
-      execute_serial(*slot);
-    }
+    launch_graph(*slot);  // returns immediately; on_done completes it
   }
   graph_->drain();
 }
@@ -298,13 +278,14 @@ GraphBatchSpec BatchScheduler::build_program(Slot& slot) {
   spec.layers.reserve(net.num_layers());
 
   // Per-layer backend names come from the engine's compiled plan (every
-  // worker context shares the same plan, so the main context's label
-  // function is authoritative for all of them).
-  const auto algo_of = [this](const dnn::Layer& layer) -> std::string {
+  // worker context shares the same plan, so worker 0's label function is
+  // authoritative for all of them).
+  const dnn::ExecContext& label_ctx = *worker_ctxs_.front();
+  const auto algo_of = [&label_ctx](const dnn::Layer& layer) -> std::string {
     const auto* conv = dynamic_cast<const dnn::ConvLayer*>(&layer);
     if (conv == nullptr) return "aux";
-    return main_ctx_->conv_label ? main_ctx_->conv_label(conv->desc())
-                                 : "im2col+gemm";
+    return label_ctx.conv_label ? label_ctx.conv_label(conv->desc())
+                                : "im2col+gemm";
   };
 
   for (std::size_t i = 0; i < net.num_layers(); ++i) {
@@ -325,17 +306,8 @@ GraphBatchSpec BatchScheduler::build_program(Slot& slot) {
     // axis), so each resident weight panel is streamed once per batch
     // instead of once per item. That single dispatch — like a fused
     // residual fold, which must see every item of its shortcut source —
-    // pins a sync point: the layer becomes one barrier task.
-    //
-    // Tradeoff vs the serial executor: a barrier task runs on ONE pool
-    // worker, and worker ExecContexts have no intra-op pool installed (a
-    // nested parallel_for from inside a posted task would degrade to an
-    // inline serial loop anyway — see ThreadPool), so the whole-batch GEMM
-    // that intra-op parallelized across the pool under Serial executes
-    // single-worker here. The graph's bet is that cross-batch overlap
-    // refills the other workers; for weight-resident-dominant plans with no
-    // second batch in flight, --executor=serial restores the pool-wide
-    // intra-op dispatch.
+    // pins a sync point: the layer becomes one barrier task. A barrier
+    // task runs on ONE pool worker; cross-batch overlap refills the others.
     const auto* conv = dynamic_cast<const dnn::ConvLayer*>(&layer);
     const bool want_batch_fused =
         nb > 1 &&
@@ -423,165 +395,6 @@ GraphBatchSpec BatchScheduler::build_program(Slot& slot) {
     complete(s);
   };
   return spec;
-}
-
-void BatchScheduler::execute_serial(Slot& slot) {
-  using clock = std::chrono::steady_clock;
-  const auto t0 = clock::now();
-  init_item_errors(slot, slot.input->n());
-  try {
-    dnn::Network& net = *slot.net;
-    const dnn::Tensor& input = *slot.input;
-    std::vector<dnn::LayerRecord>& records = slot.result.records;
-
-    // Weight transforms happen before any worker runs, so the shared cache
-    // is a read-only lookup for the rest of the pass.
-    engine_->prepare(net);
-    records.clear();
-    const auto algo_of = [this](const dnn::Layer& layer) -> std::string {
-      const auto* conv = dynamic_cast<const dnn::ConvLayer*>(&layer);
-      if (conv == nullptr) return "aux";
-      return main_ctx_->conv_label ? main_ctx_->conv_label(conv->desc())
-                                   : "im2col+gemm";
-    };
-
-    for (std::size_t i = 0; i < net.num_layers(); ++i) {
-      dnn::Layer& layer = net.layer(i);
-      const int li = static_cast<int>(i);
-      std::vector<const dnn::Tensor*> ins;
-      for (int idx : layer.input_indices()) {
-        if (idx < 0)
-          ins.push_back(&input);
-        else
-          ins.push_back(&net.layer(static_cast<std::size_t>(idx)).output());
-      }
-      const int nb = layer.prepare_batch(ins);
-      const auto l0 = clock::now();
-
-      // Weight-resident layers execute batch-fused (see build_program). On
-      // this path the batched call runs on the executor context — whose
-      // kernels may intra-op parallelize over the pool — because it is a
-      // single kernel invocation, not shardable per item. A layer that
-      // declines (e.g. packing disabled) falls through to the per-item
-      // paths below.
-      const auto* conv = dynamic_cast<const dnn::ConvLayer*>(&layer);
-      const bool want_batch_fused =
-          nb > 1 &&
-          (conv != nullptr
-               ? engine_->plan().weight_resident_for(conv->desc())
-               : (engine_->plan().fc_weight_resident &&
-                  dynamic_cast<const dnn::ConnectedLayer*>(&layer) !=
-                      nullptr));
-      // Batch-fused only while the batch is fault-free (see build_program);
-      // a fused-kernel failure fails every item together.
-      if (want_batch_fused && !any_item_failed(slot)) {
-        bool fused = false;
-        try {
-          if (test_item_hook) test_item_hook(li, -1);
-          fused = layer.forward_batch(*main_ctx_, ins);
-        } catch (...) {
-          fail_items(slot, 0, nb, std::current_exception());
-          fused = true;  // all items failed: nothing left for per-item
-        }
-        if (fused) {
-          dnn::LayerRecord rec;
-          rec.name = layer.name();
-          rec.flops = layer.flops() * nb;
-          rec.items = nb;
-          rec.algo = algo_of(layer) + "+batch";
-          rec.wall_seconds =
-              std::chrono::duration<double>(clock::now() - l0).count();
-          records.push_back(std::move(rec));
-          continue;
-        }
-      }
-
-      if (nb == 1 || pool_.size() == 1) {
-        // Too little batch-level work to shard: run on the executor thread,
-        // whose context may intra-op parallelize inside GEMM / Winograd.
-        int done_items = 0;
-        for (int b = 0; b < nb; ++b) {
-          if (item_failed(slot, b)) continue;
-          try {
-            if (cfg_.fault_injector != nullptr)
-              cfg_.fault_injector->maybe_fail_item(slot.id, li, b);
-            if (test_item_hook) test_item_hook(li, b);
-            layer.forward_item(*main_ctx_, ins, b);
-          } catch (...) {
-            fail_item(slot, b, std::current_exception());
-            continue;
-          }
-          ++done_items;
-        }
-        dnn::LayerRecord rec;
-        rec.name = layer.name();
-        rec.flops = layer.flops() * done_items;
-        rec.items = done_items;
-        rec.algo = algo_of(layer);
-        rec.wall_seconds =
-            std::chrono::duration<double>(clock::now() - l0).count();
-        records.push_back(std::move(rec));
-        continue;
-      }
-
-      // Shard batch items across the pool; each worker fills its own part
-      // record (static chunking makes the per-worker contents
-      // deterministic).
-      std::vector<std::vector<dnn::LayerRecord>> parts(
-          static_cast<std::size_t>(pool_.size()));
-      pool_.parallel_for(nb, [&](int b, int w) {
-        if (item_failed(slot, b)) return;
-        try {
-          if (cfg_.fault_injector != nullptr)
-            cfg_.fault_injector->maybe_fail_item(slot.id, li, b);
-          if (test_item_hook) test_item_hook(li, b);
-          layer.forward_item(*worker_ctxs_[static_cast<std::size_t>(w)], ins,
-                             b);
-        } catch (...) {
-          fail_item(slot, b, std::current_exception());
-          return;
-        }
-        auto& mine = parts[static_cast<std::size_t>(w)];
-        if (mine.empty()) {
-          dnn::LayerRecord rec;
-          rec.name = layer.name();
-          rec.items = 0;
-          mine.push_back(std::move(rec));
-        }
-        mine.back().items += 1;
-        mine.back().flops += layer.flops();
-      });
-      dnn::LayerRecord rec;
-      std::vector<dnn::LayerRecord> merged = dnn::merge_layer_records(parts);
-      if (!merged.empty()) rec = std::move(merged.front());
-      rec.name = layer.name();
-      rec.algo = algo_of(layer);
-      // The layer barrier waits for the slowest worker: report the span.
-      rec.wall_seconds =
-          std::chrono::duration<double>(clock::now() - l0).count();
-      records.push_back(std::move(rec));
-    }
-
-    if (slot.snapshot_output) {
-      const dnn::Tensor& out =
-          slot.net->layer(slot.net->num_layers() - 1).output();
-      slot.result.output.reshape(out.n(), out.c(), out.h(), out.w());
-      std::memcpy(slot.result.output.data(), out.data(),
-                  out.size() * sizeof(float));
-    }
-  } catch (...) {
-    slot.error = std::current_exception();
-  }
-
-  const double wall = std::chrono::duration<double>(clock::now() - t0).count();
-  slot.result.compute_seconds = wall;
-  // One execution stream: the batch's span is fully busy on (effectively)
-  // one worker-equivalent, so occupancy reads 1/workers.
-  slot.result.exec.span_seconds = wall;
-  slot.result.exec.busy_seconds = wall;
-  slot.result.exec.workers = pool_.size();
-  slot.result.exec.tasks = slot.result.records.size();
-  complete(slot);
 }
 
 }  // namespace vlacnn::runtime

@@ -16,27 +16,11 @@
 
 namespace vlacnn::runtime {
 
-/// Which executor drives batched forward passes (see BatchScheduler).
-enum class ExecutorKind {
-  /// One batch at a time; within a batch, a global barrier per layer
-  /// (parallel_for sweep). The reference path.
-  Serial,
-  /// Work-graph execution: (batch, layer, item-chunk) tasks with per-item
-  /// readiness and cross-batch overlap. Bit-identical to Serial.
-  Graph,
-};
-
 struct SchedulerConfig {
   /// Worker count; <= 0 selects the hardware concurrency.
   int threads = 0;
   /// Hardware vector length of the per-worker functional engines.
   unsigned vlen_bits = 512;
-  /// Shard the GEMM M-panel / Winograd tile loops across the pool when a
-  /// layer has fewer batch items than workers (the batch-1 latency case).
-  bool intra_op = true;
-  /// Runtime escape hatch: Graph is the default; Serial restores the
-  /// pre-work-graph executor (one batch at a time, per-layer barriers).
-  ExecutorKind executor = ExecutorKind::Graph;
   /// Deterministic fault source for chaos runs: injected task stalls reach
   /// the work graph, worker-slow faults the pool, item failures the layer
   /// dispatch (where per-item isolation catches them). Must outlive the
@@ -46,8 +30,7 @@ struct SchedulerConfig {
   /// in-flight graph batch wedged after this many seconds without progress
   /// and cancels it (WorkGraph::cancel_if_wedged) — the batch completes
   /// with BatchCancelled instead of blocking the slot ring forever. 0
-  /// disables the watchdog. Graph executor only; the serial path has no
-  /// cancellation point.
+  /// disables the watchdog.
   double watchdog_timeout_s = 0.0;
   /// Watchdog poll period.
   double watchdog_poll_s = 0.01;
@@ -70,9 +53,9 @@ struct BatchResult {
   /// Deterministically merged per-layer records of this batch (same
   /// contents records() holds after a synchronous run()).
   std::vector<dnn::LayerRecord> records;
-  /// Wall time of the forward pass (first task start to completion under
-  /// the graph executor). Excludes the time the batch spent queued in its
-  /// admission slot, so callers can separate queue wait from compute.
+  /// Wall time of the forward pass (first task start to completion).
+  /// Excludes the time the batch spent queued in its admission slot, so
+  /// callers can separate queue wait from compute.
   double compute_seconds = 0.0;
   /// Worker occupancy and cross-batch overlap counters for this batch.
   ExecStats exec;
@@ -96,24 +79,23 @@ struct BatchResult {
 /// pass (every pass calls engine.prepare() first, and the caches themselves
 /// are thread-safe for the prepare-during-execution overlap below).
 ///
-/// Under the default Graph executor the pass is decomposed into a work
-/// graph (runtime::WorkGraph): per-item layers split into item chunks whose
+/// Every pass, batch 1 included, is decomposed into a work graph
+/// (runtime::WorkGraph): per-item layers split into item chunks whose
 /// readiness follows the items they consume, so a worker finishing its
 /// chunk of layer i starts layer i+1 on those items instead of waiting at a
 /// global barrier; layers that pin a sync point — batch-fused
 /// weight-resident dispatch and fused residual folds (Layer::readiness())
-/// — become single barrier tasks. The kSlots slot ring feeds the same
-/// graph, so batch k+1's early layers overlap batch k's late layers on free
-/// workers (write-after-read edges on the shared layer tensors keep it
-/// sound). The Serial executor (SchedulerConfig::executor) is the
-/// reference: one batch at a time, parallel_for per layer.
+/// — become single barrier tasks. A batch of one item is one chunk per
+/// layer. The kSlots slot ring feeds the same graph, so batch k+1's early
+/// layers overlap batch k's late layers on free workers (write-after-read
+/// edges on the shared layer tensors keep it sound).
 ///
-/// Scheduling is deterministic under both executors and they are
-/// bit-identical to each other: items map to chunks by the same static
-/// partition, every worker's arithmetic depends only on the engine vector
-/// length, readiness edges reproduce exactly the data dependences the
-/// serial order obeyed, and LayerRecords are merged in canonical chunk
-/// order regardless of interleaving.
+/// Scheduling is deterministic and bit-identical to a sequential
+/// Network::forward on one ExecContext under the same plan: items map to
+/// chunks by a static partition, every worker's arithmetic depends only on
+/// the engine vector length, readiness edges reproduce exactly the data
+/// dependences of layer order, and LayerRecords are merged in canonical
+/// chunk order regardless of interleaving.
 ///
 /// Layers the engine's plan marks weight-resident (and FC layers under the
 /// plan's fc_weight_resident flag) are dispatched batch-fused: one
@@ -130,16 +112,14 @@ struct BatchResult {
 ///    pipelined: batches execute FIFO while the caller forms/packs the next
 ///    one. kSlots batches may be in flight; a further submit() blocks until
 ///    a slot frees — the natural backpressure the serving layer leans on.
-///    Under Graph both in-flight batches make progress concurrently; under
-///    Serial the overlap is admission/packing vs. execution only.
+///    Both in-flight batches make progress concurrently.
 ///
 /// submit() and wait() are thread-safe; run() may be freely mixed with
 /// them, but the reference it returns (into the Network's last layer) is
 /// only stable until the next batch executes on that network.
 class BatchScheduler {
  public:
-  /// In-flight batch slots: one executing + one admitted (Serial), or two
-  /// overlapping in the work graph (Graph).
+  /// In-flight batch slots: two batches overlapping in the work graph.
   static constexpr int kSlots = 2;
 
   BatchScheduler(core::ConvolutionEngine& engine,
@@ -173,7 +153,7 @@ class BatchScheduler {
   /// executor from claiming further queued batches, waits for every
   /// in-flight batch to retire (FIFO — the ring drains in order), drains
   /// the work graph, installs `plan` into the engine, recompiles every
-  /// worker/main ExecContext against it, then resumes. Queued batches are
+  /// worker ExecContext against it, then resumes. Queued batches are
   /// never dropped — they simply execute under the new plan; a batch
   /// already executing finishes entirely under the old one (its compiled
   /// dispatch owns the old plan). Safe to call from any thread (the
@@ -189,17 +169,15 @@ class BatchScheduler {
     return watchdog_wedges_.load(std::memory_order_relaxed);
   }
 
-  /// Cumulative bytes moved by every engine this scheduler drives (main +
-  /// batch workers; intra-op worker traffic is folded into the main engine
-  /// by the GEMM/Winograd kernels). Sample before/after a batch to get its
-  /// traffic. Call only while no batch is in flight.
+  /// Cumulative bytes moved by the worker engines. Sample before/after a
+  /// batch to get its traffic. Call only while no batch is in flight.
   [[nodiscard]] std::uint64_t mem_bytes_moved() const;
 
   /// TEST-ONLY: invoked before every per-item kernel as (layer, item), and
-  /// as (layer, -1) before a batch-fused dispatch — on both executors, from
-  /// whichever thread runs the work. Tests use it to inject delays (stress
-  /// interleavings) or throw (exercise error propagation). Set / clear only
-  /// while no batch is in flight.
+  /// as (layer, -1) before a batch-fused dispatch, from whichever worker
+  /// runs the work. Tests use it to inject delays (stress interleavings) or
+  /// throw (exercise error propagation). Set / clear only while no batch is
+  /// in flight.
   std::function<void(int layer, int item)> test_item_hook;
 
  private:
@@ -218,7 +196,6 @@ class BatchScheduler {
   BatchTicket enqueue(dnn::Network& net, const dnn::Tensor* borrowed,
                       dnn::Tensor owned, bool snapshot_output);
   void executor_loop();
-  void execute_serial(Slot& slot);
   void launch_graph(Slot& slot);
   GraphBatchSpec build_program(Slot& slot);
   void complete(Slot& slot);  // release input, mark Done, wake waiters
@@ -241,10 +218,6 @@ class BatchScheduler {
   std::unique_ptr<WorkGraph> graph_;
   std::vector<std::unique_ptr<vla::VectorEngine>> worker_engines_;
   std::vector<std::unique_ptr<dnn::ExecContext>> worker_ctxs_;
-  // Driven by the executor thread on the Serial path (and for batch-1
-  // passes, where its kernels intra-op parallelize over the same pool).
-  std::unique_ptr<vla::VectorEngine> main_engine_;
-  std::unique_ptr<dnn::ExecContext> main_ctx_;
   std::vector<dnn::LayerRecord> records_;
 
   std::mutex item_mu_;  // guards every Slot::result.item_errors

@@ -1,33 +1,8 @@
 #include "runtime/thread_pool.hpp"
 
-#include <algorithm>
-
-#include "common/error.hpp"
+#include <cstdlib>
 
 namespace vlacnn::runtime {
-
-namespace {
-// Set while a thread is executing a chunk or a posted task for some pool;
-// used to detect nested parallel_for calls (which run inline instead of
-// deadlocking).
-thread_local const ThreadPool* tls_current_pool = nullptr;
-thread_local int tls_current_worker = 0;
-
-// RAII guard for the nested-parallelism TLS.
-struct TlsPoolScope {
-  TlsPoolScope(const ThreadPool* pool, int worker)
-      : prev_pool(tls_current_pool), prev_worker(tls_current_worker) {
-    tls_current_pool = pool;
-    tls_current_worker = worker;
-  }
-  ~TlsPoolScope() {
-    tls_current_pool = prev_pool;
-    tls_current_worker = prev_worker;
-  }
-  const ThreadPool* prev_pool;
-  int prev_worker;
-};
-}  // namespace
 
 int ThreadPool::hardware_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
@@ -53,64 +28,20 @@ ThreadPool::~ThreadPool() {
   for (auto& t : workers_) t.join();
 }
 
-bool ThreadPool::is_worker_thread() const {
-  const std::thread::id me = std::this_thread::get_id();
-  for (const auto& t : workers_)
-    if (t.get_id() == me) return true;
-  return false;
-}
-
-void ThreadPool::run_chunk(int worker) {
-  // Static contiguous partition of [0, job_n_) over size() workers.
-  const int n = job_n_;
-  const int t = size();
-  const int begin = static_cast<int>(static_cast<long long>(n) * worker / t);
-  const int end = static_cast<int>(static_cast<long long>(n) * (worker + 1) / t);
-  if (begin >= end) return;
-  TlsPoolScope scope(this, worker);
-  try {
-    for (int i = begin; i < end; ++i) (*job_fn_)(i, worker);
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!error_) error_ = std::current_exception();
-  }
-}
-
 void ThreadPool::worker_loop(int id) {
-  std::uint64_t seen = 0;
   for (;;) {
     Task task;
-    bool run_job = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      start_cv_.wait(lock, [&] {
-        return stop_ || generation_ != seen || !tasks_.empty();
-      });
-      if (generation_ != seen) {
-        // parallel_for jobs take priority: their caller blocks synchronously
-        // on the full-pool barrier, while posted tasks only queue.
-        seen = generation_;
-        run_job = true;
-      } else if (!tasks_.empty()) {
-        task = std::move(tasks_.front());
-        tasks_.pop_front();
-      } else {
-        return;  // stop_, with nothing left to run
-      }
+      start_cv_.wait(lock, [&] { return stop_ || !tasks_.empty(); });
+      if (tasks_.empty()) return;  // stop_, with nothing left to run
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
     }
-    if (run_job) {
-      run_chunk(id);
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--pending_ == 0) done_cv_.notify_all();
-    } else {
-      {
-        TlsPoolScope scope(this, id);
-        if (task_start_hook) task_start_hook(id);
-        task(id);  // must not throw (see Task)
-      }
-      std::lock_guard<std::mutex> lock(mu_);
-      --tasks_in_flight_;
-    }
+    if (task_start_hook) task_start_hook(id);
+    task(id);  // must not throw (see Task)
+    std::lock_guard<std::mutex> lock(mu_);
+    --tasks_in_flight_;
   }
 }
 
@@ -126,48 +57,6 @@ void ThreadPool::post(Task task) {
 int ThreadPool::pending_tasks() const {
   std::lock_guard<std::mutex> lock(mu_);
   return tasks_in_flight_;
-}
-
-void ThreadPool::parallel_for(int n,
-                              const std::function<void(int, int)>& fn) {
-  if (n <= 0) return;
-  if (tls_current_pool == this) {
-    // Nested call from one of our own workers (chunk or posted task): run
-    // inline on that worker.
-    const int w = tls_current_worker;
-    for (int i = 0; i < n; ++i) fn(i, w);
-    return;
-  }
-  // A call from one of this pool's worker threads that is NOT inside a
-  // chunk/task (TLS would have routed it inline above) would deadlock below:
-  // the job barrier needs every worker, including the caller. Unreachable
-  // through the public API; fail loudly instead of hanging.
-  VLACNN_REQUIRE(!is_worker_thread(),
-                 "parallel_for re-entered from a worker thread of this pool "
-                 "outside a chunk/task (would deadlock)");
-  if (size() == 1) {
-    TlsPoolScope scope(this, 0);
-    for (int i = 0; i < n; ++i) fn(i, 0);
-    return;
-  }
-
-  // NOTE: concurrent external callers serialize here — parallel_for offers
-  // no cross-caller concurrency (see class comment; overlapping work goes
-  // through post()).
-  std::lock_guard<std::mutex> submit_lock(submit_mu_);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    job_n_ = n;
-    job_fn_ = &fn;
-    error_ = nullptr;
-    pending_ = size();
-    ++generation_;
-  }
-  start_cv_.notify_all();
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] { return pending_ == 0; });
-  job_fn_ = nullptr;
-  if (error_) std::rethrow_exception(error_);
 }
 
 }  // namespace vlacnn::runtime

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -10,40 +9,16 @@
 
 namespace vlacnn::runtime {
 
-/// Fixed-size worker pool with two driving modes:
-///
-///  * parallel_for — static-chunked data parallelism. Items [0, n) are
-///    partitioned into at most size() contiguous chunks, one per worker, so
-///    the item -> worker mapping is a pure function of (n, size()) — results
-///    and any per-worker accumulation are deterministic regardless of OS
-///    scheduling. The calling thread blocks until every item has run.
-///
-///  * post — task submission (the work-graph executor's mode). Each posted
-///    task is picked up by exactly one idle worker and runs to completion on
-///    it; tasks are dequeued FIFO. post() never blocks on task execution and
-///    the two modes share the workers: a posted task occupies its worker
-///    until it returns, which stalls (never corrupts) a concurrent
-///    parallel_for until that worker comes back around.
-///
-/// parallel_for's submission contract: concurrent calls from different
-/// EXTERNAL threads are serialized on an internal mutex (`submit_mu_`) — the
-/// second caller silently queues until the first job drains. This keeps the
-/// generation/pending protocol single-writer, but it means parallel_for
-/// provides no concurrency ACROSS callers, only within one call; callers
-/// that need overlapping work must use post() instead. A call made from
-/// inside one of this pool's own workers (nested parallelism, e.g. an
-/// intra-op GEMM inside a batch-sharded layer, or from inside a posted task)
-/// degrades to an inline serial loop on that worker rather than
-/// deadlocking. A call from a worker thread of this pool that is NOT
-/// currently inside a chunk or task (impossible through the public API, but
-/// reachable by code that tampers with thread identity) would deadlock on
-/// the full-pool barrier, so it throws instead.
+/// Fixed-size worker pool with a FIFO task queue (the work-graph executor's
+/// substrate). Each posted task is picked up by exactly one idle worker and
+/// runs to completion on it; tasks are dequeued in posting order. post()
+/// never blocks on task execution.
 class ThreadPool {
  public:
-  /// A unit of work for the task-submission mode; `worker` is the id of the
-  /// worker executing it, in [0, size()). Tasks must not throw — an escaped
-  /// exception terminates the process (error handling belongs to the task's
-  /// own scope, see runtime::WorkGraph).
+  /// A unit of work; `worker` is the id of the worker executing it, in
+  /// [0, size()). Tasks must not throw — an escaped exception terminates the
+  /// process (error handling belongs to the task's own scope, see
+  /// runtime::WorkGraph).
   using Task = std::function<void(int worker)>;
 
   /// `threads` <= 0 selects the hardware concurrency.
@@ -57,12 +32,6 @@ class ThreadPool {
 
   [[nodiscard]] static int hardware_threads();
 
-  /// Runs fn(item, worker) for every item in [0, n); `worker` is in
-  /// [0, size()). Rethrows the first exception thrown by fn (remaining
-  /// chunks still complete). See the class comment for the serialization
-  /// contract of concurrent and nested calls.
-  void parallel_for(int n, const std::function<void(int item, int worker)>& fn);
-
   /// Queues `task` for execution on one worker (thread-safe, non-blocking).
   /// Tasks posted while workers are busy wait FIFO. The caller is
   /// responsible for draining its tasks before the pool is destroyed — the
@@ -73,31 +42,20 @@ class ThreadPool {
   [[nodiscard]] int pending_tasks() const;
 
   /// Fault-injection hook: when set, runs on the worker right before each
-  /// POSTED task executes (parallel_for chunks are exempt — they sit on the
-  /// synchronous hot path and their caller blocks on the barrier). Must not
-  /// throw; intended for timing-only chaos (runtime::FaultInjector's
-  /// worker-slow faults). Set it only while no tasks are in flight.
+  /// task executes. Must not throw; intended for timing-only chaos
+  /// (runtime::FaultInjector's worker-slow faults). Set it only while no
+  /// tasks are in flight.
   std::function<void(int worker)> task_start_hook;
 
  private:
   void worker_loop(int id);
-  void run_chunk(int worker);
-  [[nodiscard]] bool is_worker_thread() const;
 
   std::vector<std::thread> workers_;
 
-  std::mutex submit_mu_;  // serializes parallel_for calls (see class comment)
-
   mutable std::mutex mu_;
   std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
-  std::uint64_t generation_ = 0;
-  int pending_ = 0;
-  int job_n_ = 0;
-  const std::function<void(int, int)>* job_fn_ = nullptr;
-  std::exception_ptr error_;
-  std::deque<Task> tasks_;      // task-submission mode queue (FIFO)
-  int tasks_in_flight_ = 0;     // queued + currently executing tasks
+  std::deque<Task> tasks_;   // FIFO
+  int tasks_in_flight_ = 0;  // queued + currently executing tasks
   bool stop_ = false;
 };
 

@@ -20,8 +20,7 @@ struct Key {
   int chunk;
 };
 
-Key key_of(const WorkGraph* /*unused*/, std::uint64_t seq, int layer,
-           int phase, int chunk) {
+Key key_of(std::uint64_t seq, int layer, int phase, int chunk) {
   return Key{seq, layer, phase, chunk};
 }
 
@@ -34,9 +33,9 @@ bool key_greater(const Key& a, const Key& b) {
 }  // namespace
 
 bool WorkGraph::NodeOrder::operator()(const Node* a, const Node* b) const {
-  const Key ka = key_of(nullptr, a->batch->seq, a->layer, a->is_prepare ? 0 : 1,
+  const Key ka = key_of(a->batch->seq, a->layer, a->is_prepare ? 0 : 1,
                         a->chunk);
-  const Key kb = key_of(nullptr, b->batch->seq, b->layer, b->is_prepare ? 0 : 1,
+  const Key kb = key_of(b->batch->seq, b->layer, b->is_prepare ? 0 : 1,
                         b->chunk);
   return key_greater(ka, kb);  // priority_queue is a max-heap; invert
 }
@@ -281,42 +280,34 @@ void WorkGraph::finish_batch(Batch& b) {
   res.error = b.error;
   if (!b.error) {
     // Canonical merge: chunks in chunk order within each layer, layers in
-    // program order — identical accounting to the serialized sweep no matter
-    // how execution interleaved.
+    // program order — the same accounting no matter how execution
+    // interleaved. Every chunk that ran named its record after its layer,
+    // so the merge's same-layer check holds.
     res.records.reserve(b.layer_chunks.size());
     for (const auto& chunks : b.layer_chunks) {
-      dnn::LayerRecord merged = chunks.front()->rec;
-      for (std::size_t c = 1; c < chunks.size(); ++c) {
-        const dnn::LayerRecord& r = chunks[c]->rec;
-        merged.items += r.items;
-        merged.flops += r.flops;
-        merged.cycles += r.cycles;
-        merged.wall_seconds = std::max(merged.wall_seconds, r.wall_seconds);
-      }
-      res.records.push_back(std::move(merged));
+      std::vector<std::vector<dnn::LayerRecord>> parts;
+      parts.reserve(chunks.size());
+      for (const Node* c : chunks) parts.push_back({c->rec});
+      res.records.push_back(std::move(dnn::merge_layer_records(parts).front()));
     }
   }
   if (b.spec.on_done) b.spec.on_done(std::move(res));
 }
 
-void WorkGraph::retire(Batch& b) {
-  // mu_ held. Unregister every key this batch touched.
-  for (auto& n : b.nodes) {
-    for (const void* key : n->touched) {
-      auto it = live_touch_.find(key);
-      if (it == live_touch_.end()) continue;
-      auto& v = it->second;
-      v.erase(std::remove(v.begin(), v.end(), n.get()), v.end());
-      if (v.empty()) live_touch_.erase(it);
-    }
-  }
-  for (const void* key : b.sink.touched) {
+void WorkGraph::untouch(Node* n) {
+  for (const void* key : n->touched) {
     auto it = live_touch_.find(key);
     if (it == live_touch_.end()) continue;
     auto& v = it->second;
-    v.erase(std::remove(v.begin(), v.end(), &b.sink), v.end());
+    v.erase(std::remove(v.begin(), v.end(), n), v.end());
     if (v.empty()) live_touch_.erase(it);
   }
+}
+
+void WorkGraph::retire(Batch& b) {
+  // mu_ held. Unregister every key this batch touched.
+  for (auto& n : b.nodes) untouch(n.get());
+  untouch(&b.sink);
   // Batches retire strictly FIFO by construction: launch() chains every new
   // sink onto its predecessor's, so the retiring batch is the oldest live
   // one even when in-flight batches share no tensors.

@@ -27,12 +27,11 @@ struct BatchCancelled : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Execution statistics of one batch under an executor. Under the work-graph
-/// executor, `span_seconds` runs from the batch's first task start to its
-/// sink completion and `busy_seconds` sums compute-task durations across all
-/// workers; the overlap counters prove cross-batch pipelining (tasks of this
-/// batch that started while an older batch was still in flight). The serial
-/// executor fills span/workers only (busy == span: one execution stream).
+/// Execution statistics of one batch in the work graph: `span_seconds` runs
+/// from the batch's first task start to its sink completion and
+/// `busy_seconds` sums compute-task durations across all workers; the
+/// overlap counters prove cross-batch pipelining (tasks of this batch that
+/// started while an older batch was still in flight).
 struct ExecStats {
   double span_seconds = 0.0;  ///< first task start -> batch completion
   double busy_seconds = 0.0;  ///< summed compute-task time over all workers
@@ -83,8 +82,9 @@ struct GraphLayerSpec {
 /// What a completed batch hands to its on_done callback.
 struct GraphBatchResult {
   /// Per-layer records, merged over chunks in chunk order — canonical
-  /// regardless of execution interleaving (same name/algo/items/flops the
-  /// serial executor produces; wall_seconds is the slowest chunk).
+  /// regardless of execution interleaving and worker count (same
+  /// name/algo/items/flops for every schedule; wall_seconds is the slowest
+  /// chunk).
   std::vector<dnn::LayerRecord> records;
   ExecStats stats;
   /// First execution error of the batch, or null. On error the remaining
@@ -107,8 +107,8 @@ struct GraphBatchSpec {
 };
 
 /// Work-graph batch executor: decomposes batched forward passes into
-/// (batch, layer, item-chunk) tasks with readiness edges and runs them on a
-/// ThreadPool's task-submission mode.
+/// (batch, layer, item-chunk) tasks with readiness edges and runs them as
+/// ThreadPool tasks.
 ///
 /// Per-item readiness — a worker that finishes its chunk of layer i
 /// immediately unlocks layer i+1 on exactly the items it completed (chunk
@@ -126,11 +126,11 @@ struct GraphBatchSpec {
 /// batch k+1's early layers start on free workers as soon as batch k's
 /// consumers of those tensors are done, overlapping batch k's tail.
 ///
-/// Determinism — outputs are bit-identical to serialized execution because
-/// every task runs the same per-item kernels on an equivalent ExecContext,
-/// and the edges reproduce exactly the data dependences the serial order
-/// obeyed; record merges are in (layer, chunk) order, so accounting is
-/// byte-stable regardless of interleaving. Batches complete strictly FIFO:
+/// Determinism — outputs are bit-identical to a sequential
+/// Network::forward because every task runs the same per-item kernels on an
+/// equivalent ExecContext, and the edges reproduce exactly the data
+/// dependences of layer order; record merges are in (layer, chunk) order,
+/// so accounting is byte-stable regardless of interleaving. Batches complete strictly FIFO:
 /// launch() chains the youngest live batch's sink onto the new batch's
 /// sink, so completion (and retirement) order is launch order even for
 /// batches that share no tensors (e.g. different Networks in flight).
@@ -217,6 +217,7 @@ class WorkGraph {
   void make_ready(Node* n);  // mu_ held: push + post one pool token
   void run_token(int worker);
   void finish_batch(Batch& b);         // sink body (no lock held)
+  void untouch(Node* n);               // mu_ held: drop n from live_touch_
   void retire(Batch& b);               // mu_ held
 
   ThreadPool* pool_;

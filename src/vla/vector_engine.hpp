@@ -2,8 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -145,12 +143,6 @@ class VectorEngine {
     return bytes_read_ + bytes_written_;
   }
   void reset_mem_counters() { bytes_read_ = bytes_written_ = 0; }
-  /// Folds traffic observed on helper engines (intra-op pool workers) into
-  /// this engine so a coordinating engine's counters stay inclusive.
-  void add_mem_bytes(std::uint64_t read, std::uint64_t written) {
-    bytes_read_ += read;
-    bytes_written_ += written;
-  }
 
   // ---------------- test access ----------------
 
@@ -187,52 +179,5 @@ class VectorEngine {
   std::vector<float> regfile_;               // kNumVregs * vlmax()
   std::vector<std::uint8_t> predfile_;       // kNumPregs * vlmax()
 };
-
-/// Folds the memory traffic that intra-op worker engines generate during a
-/// fan-out into the coordinating engine, so its counters stay inclusive:
-/// snapshot() before the parallel_for, fold_into() after the join. The
-/// single implementation shared by the GEMM M-panel and Winograd tile
-/// fan-outs — the two backends' bytes-moved accounting must not drift.
-/// Reusable across calls (the snapshot buffer is retained).
-class WorkerTrafficFold {
- public:
-  void snapshot(const std::vector<std::unique_ptr<VectorEngine>>& workers,
-                int n) {
-    before_.resize(static_cast<std::size_t>(n));
-    for (int w = 0; w < n; ++w)
-      before_[static_cast<std::size_t>(w)] = {
-          workers[static_cast<std::size_t>(w)]->mem_bytes_read(),
-          workers[static_cast<std::size_t>(w)]->mem_bytes_written()};
-  }
-  void fold_into(VectorEngine& eng,
-                 const std::vector<std::unique_ptr<VectorEngine>>& workers,
-                 int n) const {
-    for (int w = 0; w < n; ++w) {
-      const VectorEngine& weng = *workers[static_cast<std::size_t>(w)];
-      eng.add_mem_bytes(
-          weng.mem_bytes_read() - before_[static_cast<std::size_t>(w)].first,
-          weng.mem_bytes_written() -
-              before_[static_cast<std::size_t>(w)].second);
-    }
-  }
-
- private:
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> before_;
-};
-
-/// Lazily materializes functional engine `w` of a per-worker pool,
-/// recreating it when the requested hardware vector length changes. Shared
-/// by the intra-op parallel GEMM/Winograd paths and the batch scheduler so
-/// engine construction has a single home. Not thread-safe: call from the
-/// coordinating thread before fanning out.
-inline VectorEngine& ensure_worker_engine(
-    std::vector<std::unique_ptr<VectorEngine>>& engines, int w,
-    unsigned vlen_bits) {
-  const auto idx = static_cast<std::size_t>(w);
-  if (engines.size() <= idx) engines.resize(idx + 1);
-  if (!engines[idx] || engines[idx]->vlen_bits() != vlen_bits)
-    engines[idx] = std::make_unique<VectorEngine>(vlen_bits);
-  return *engines[idx];
-}
 
 }  // namespace vlacnn::vla

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "runtime/thread_pool.hpp"
 #include "winograd/f6x3.hpp"
 
 namespace vlacnn::winograd {
@@ -28,7 +27,6 @@ WinogradConv::WinogradConv(WeightCache* shared_cache) {
     owned_cache_ = std::make_unique<WeightCache>();
     cache_ = owned_cache_.get();
   }
-  scratch_.push_back(std::make_unique<StageScratch>());
 }
 
 void WinogradConv::StageScratch::ensure(std::size_t vecw) {
@@ -51,10 +49,6 @@ void WinogradConv::StageScratch::ensure(std::size_t vecw) {
     epi.fill(0.0f);
     epi_reg = sim::RegisteredRange(epi.data(), epi.size() * sizeof(float));
   }
-}
-
-vla::VectorEngine& WinogradConv::worker_engine(int w, unsigned vlen_bits) {
-  return vla::ensure_worker_engine(worker_engines_, w, vlen_bits);
 }
 
 bool WinogradConv::supports(const dnn::ConvDesc& d) {
@@ -147,15 +141,14 @@ void WinogradConv::stage_pass(vla::VectorEngine& eng, const double (*t)[8],
 
 void WinogradConv::transform_input(vla::VectorEngine& eng,
                                    const dnn::ConvDesc& d, const Plan& plan,
-                                   const IndexTables& tbl, const float* input,
-                                   StageScratch& sc, int ty_begin,
-                                   int ty_end) {
+                                   const IndexTables& tbl, const float* input) {
+  StageScratch& sc = scratch_;
   const int ch_stride = d.in_h * d.in_w;
   const auto vecw = plan.vecw;
   for (int ic0 = 0; ic0 < d.in_c; ic0 += plan.group) {
     const int gr = std::min(plan.group, d.in_c - ic0);
     const std::size_t active = static_cast<std::size_t>(4) * gr;
-    for (int ty = ty_begin; ty < ty_end; ++ty) {
+    for (int ty = 0; ty < plan.tiles_y; ++ty) {
       for (int tx = 0; tx < plan.tiles_x; ++tx) {
         const int tile = ty * plan.tiles_x + tx;
         const int y0 = ty * kOutTile - d.pad;
@@ -231,7 +224,7 @@ void WinogradConv::transform_input(vla::VectorEngine& eng,
 
 void WinogradConv::tuple_multiply(vla::VectorEngine& eng,
                                   const dnn::ConvDesc& d, const Plan& plan,
-                                  const float* u, int oc_begin, int oc_end) {
+                                  const float* u) {
   // Vectorize across the 64 tuple elements (16 blocks x 4 elements, paper
   // §IV-B); register-unroll over 4 tiles to overlap the FMA chains. The
   // batched GEMM is cache-blocked over tiles so the V panel of a tile block
@@ -249,7 +242,7 @@ void WinogradConv::tuple_multiply(vla::VectorEngine& eng,
   for (int tb0 = 0; tb0 < plan.tiles; tb0 += kTileBlock) {
     const int tb_end = std::min(tb0 + kTileBlock, plan.tiles);
     for (std::size_t e0 = 0; e0 < kTileElems; e0 += vec_e) {
-      for (int oc = oc_begin; oc < oc_end; ++oc) {
+      for (int oc = 0; oc < d.out_c; ++oc) {
         const float* u_oc =
             u + static_cast<std::size_t>(oc) * d.in_c * kTileElems;
         float* m_oc = m_buf_.data() +
@@ -286,8 +279,8 @@ void WinogradConv::tuple_multiply(vla::VectorEngine& eng,
 void WinogradConv::transform_output(vla::VectorEngine& eng,
                                     const dnn::ConvDesc& d, const Plan& plan,
                                     const IndexTables& tbl, float* output,
-                                    StageScratch& sc, int ty_begin,
-                                    int ty_end, const dnn::EpilogueDesc* epi) {
+                                    const dnn::EpilogueDesc* epi) {
+  StageScratch& sc = scratch_;
   const int out_h = d.out_h(), out_w = d.out_w();
   const int ch_stride = out_h * out_w;
   const auto vecw = plan.vecw;
@@ -325,7 +318,7 @@ void WinogradConv::transform_output(vla::VectorEngine& eng,
         eng.scalar_mem(epi->bias + oc0, static_cast<std::size_t>(gr) * sizeof(float), false);
       eng.scalar_mem(pp, 4 * vecw * sizeof(float), true);
     }
-    for (int ty = ty_begin; ty < ty_end; ++ty) {
+    for (int ty = 0; ty < plan.tiles_y; ++ty) {
       for (int tx = 0; tx < plan.tiles_x; ++tx) {
         const int tile = ty * plan.tiles_x + tx;
         eng.setvl(active);
@@ -548,56 +541,13 @@ void WinogradConv::run(vla::VectorEngine& eng, const dnn::ConvDesc& d,
     m_buf_.resize(m_n);
     m_reg_ = sim::RegisteredRange(m_buf_.data(), m_n * sizeof(float));
   }
-  scratch_[0]->ensure(plan.vecw);
+  scratch_.ensure(plan.vecw);
 
   const IndexTables tbl = make_tables(d, plan);
   const float* u = cache_->get(d, weights);
-
-  // Intra-op sharding: only functionally (the timing model is a single
-  // instruction stream) and only when there is enough tile-level work to
-  // cover the fork/join cost.
-  const bool parallel = pool_ != nullptr && pool_->size() > 1 &&
-                        eng.context() == nullptr && plan.tiles_y >= 2;
-  if (!parallel) {
-    transform_input(eng, d, plan, tbl, input, *scratch_[0], 0, plan.tiles_y);
-    tuple_multiply(eng, d, plan, u, 0, d.out_c);
-    transform_output(eng, d, plan, tbl, output, *scratch_[0], 0, plan.tiles_y,
-                     epi);
-    return;
-  }
-
-  // Materialize per-worker engines and scratch on this thread so AddressMap
-  // registration order stays deterministic.
-  const unsigned vlen = eng.vlen_bits();
-  const int workers = pool_->size();
-  for (int w = 0; w < workers; ++w) {
-    worker_engine(w, vlen);
-    if (scratch_.size() <= static_cast<std::size_t>(w) + 1)
-      scratch_.push_back(std::make_unique<StageScratch>());
-    scratch_[static_cast<std::size_t>(w) + 1]->ensure(plan.vecw);
-  }
-
-  // Worker traffic folds into the coordinating engine's counters after the
-  // fan-outs.
-  vla::WorkerTrafficFold traffic_fold;
-  traffic_fold.snapshot(worker_engines_, workers);
-
-  // Each worker transforms a contiguous range of tile rows into its slice
-  // of V, multiplies a range of output channels into its slice of M, then
-  // transforms its tile rows of the output — all writes are disjoint.
-  pool_->parallel_for(plan.tiles_y, [&](int ty, int w) {
-    transform_input(worker_engine(w, vlen), d, plan, tbl, input,
-                    *scratch_[static_cast<std::size_t>(w) + 1], ty, ty + 1);
-  });
-  pool_->parallel_for(d.out_c, [&](int oc, int w) {
-    tuple_multiply(worker_engine(w, vlen), d, plan, u, oc, oc + 1);
-  });
-  pool_->parallel_for(plan.tiles_y, [&](int ty, int w) {
-    transform_output(worker_engine(w, vlen), d, plan, tbl, output,
-                     *scratch_[static_cast<std::size_t>(w) + 1], ty, ty + 1,
-                     epi);
-  });
-  traffic_fold.fold_into(eng, worker_engines_, workers);
+  transform_input(eng, d, plan, tbl, input);
+  tuple_multiply(eng, d, plan, u);
+  transform_output(eng, d, plan, tbl, output, epi);
 }
 
 }  // namespace vlacnn::winograd

@@ -11,10 +11,6 @@
 #include "vla/vector_engine.hpp"
 #include "winograd/weight_cache.hpp"
 
-namespace vlacnn::runtime {
-class ThreadPool;
-}  // namespace vlacnn::runtime
-
 namespace vlacnn::winograd {
 
 /// VLA-vectorized Winograd F(6x6,3x3) convolution with the paper's
@@ -39,12 +35,6 @@ namespace vlacnn::winograd {
 /// the batched runtime installs; all other state — V/M buffers and stage
 /// scratch — is owned per instance, so one WinogradConv must only ever be
 /// driven by one thread at a time.
-///
-/// With set_intra_op_pool(), the tile loops of the input/output transforms
-/// and the output-channel loop of the tuple multiplication are sharded
-/// across the pool (per-worker functional engines and stage scratch),
-/// bitwise identical to the serial path. Used for the batch-1 latency case;
-/// simulated (instrumented) runs always stay serial.
 class WinogradConv {
  public:
   /// `shared_cache` may outlive-scope-share transformed weights between
@@ -66,9 +56,6 @@ class WinogradConv {
   void run(vla::VectorEngine& eng, const dnn::ConvDesc& d, const float* input,
            const float* weights, float* output,
            const dnn::EpilogueDesc* epi = nullptr);
-
-  /// Shards the intra-op loops across `pool` when running functionally.
-  void set_intra_op_pool(runtime::ThreadPool* pool) { pool_ = pool; }
 
   /// Drops cached transformed weights (e.g. after mutating weights in tests).
   void invalidate_weight_cache() { cache_->clear(); }
@@ -100,10 +87,8 @@ class WinogradConv {
     std::vector<std::int32_t> out_scatter2;    // 2*group, cols 4..5
   };
 
-  /// Per-driver stage scratch: the edge-tile pack buffer, the transpose
-  /// spill buffer, and the per-lane epilogue parameter vectors. Index 0
-  /// belongs to the serial path; intra-op workers each own one so
-  /// concurrent tiles never share scribble space.
+  /// Stage scratch: the edge-tile pack buffer, the transpose spill buffer,
+  /// and the per-lane epilogue parameter vectors.
   struct StageScratch {
     AlignedBuffer<float> pack;     // 16 x vecw packed rows (edge tiles)
     AlignedBuffer<float> spill;    // 16 x vecw stage output
@@ -118,35 +103,27 @@ class WinogradConv {
 
   void transform_input(vla::VectorEngine& eng, const dnn::ConvDesc& d,
                        const Plan& plan, const IndexTables& tbl,
-                       const float* input, StageScratch& sc, int ty_begin,
-                       int ty_end);
+                       const float* input);
   void tuple_multiply(vla::VectorEngine& eng, const dnn::ConvDesc& d,
-                      const Plan& plan, const float* u, int oc_begin,
-                      int oc_end);
+                      const Plan& plan, const float* u);
   void transform_output(vla::VectorEngine& eng, const dnn::ConvDesc& d,
                         const Plan& plan, const IndexTables& tbl,
-                        float* output, StageScratch& sc, int ty_begin,
-                        int ty_end, const dnn::EpilogueDesc* epi);
+                        float* output, const dnn::EpilogueDesc* epi);
 
   /// Applies one transform pass (row combinations of matrix `t`) to the 16
   /// packed input registers v0..v15, writing v16..v16+rows-1 / v24..
   void stage_pass(vla::VectorEngine& eng, const double (*t)[8], int rows_out,
                   std::size_t vecw);
 
-  /// Worker engine / scratch for intra-op sharding (lazily created).
-  vla::VectorEngine& worker_engine(int w, unsigned vlen_bits);
-
   AlignedBuffer<float> v_buf_;       // V[ic][tile][64]
   AlignedBuffer<float> m_buf_;       // M[oc][tile][64]
   AlignedBuffer<float> s1_out_;      // stride-2: dense stride-1 output
   sim::RegisteredRange v_reg_, m_reg_, s1_reg_;
 
-  std::vector<std::unique_ptr<StageScratch>> scratch_;  // [0] = serial path
-  std::vector<std::unique_ptr<vla::VectorEngine>> worker_engines_;
+  StageScratch scratch_;
 
   WeightCache* cache_;
   std::unique_ptr<WeightCache> owned_cache_;
-  runtime::ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace vlacnn::winograd

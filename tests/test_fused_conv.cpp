@@ -206,19 +206,14 @@ std::vector<float> run_batched(const core::EnginePolicy& policy, int batch,
 }
 
 TEST(FusedConv, Batch4MultiThreadedMatchesUnfused) {
-  const auto unfused =
-      run_batched(small_blocks(core::EnginePolicy::opt6loop()), 4, 4);
-  const auto fused = run_batched(small_blocks(core::EnginePolicy::fused()), 4, 4);
-  EXPECT_EQ(max_ulp(unfused, fused), 0u);
-}
-
-TEST(FusedConv, Batch1IntraOpPoolMatchesUnfused) {
-  // Batch 1 with 4 workers drives the intra-op M-panel sharding inside the
-  // fused GEMM (beta0/epilogue flags must reach the worker microkernels).
-  const auto unfused =
-      run_batched(small_blocks(core::EnginePolicy::opt6loop()), 1, 4);
-  const auto fused = run_batched(small_blocks(core::EnginePolicy::fused()), 1, 4);
-  EXPECT_EQ(max_ulp(unfused, fused), 0u);
+  // 4 workers: batch 4 is one item per chunk, batch 1 one chunk per layer.
+  for (int batch : {4, 1}) {
+    const auto unfused =
+        run_batched(small_blocks(core::EnginePolicy::opt6loop()), batch, 4);
+    const auto fused =
+        run_batched(small_blocks(core::EnginePolicy::fused()), batch, 4);
+    EXPECT_EQ(max_ulp(unfused, fused), 0u) << "batch=" << batch;
+  }
 }
 
 /// Runs one ConvLayer with a fused residual (skip tensor added after the
@@ -297,7 +292,8 @@ TEST(FusedConv, NetworkFuseResidualsBitIdenticalAcrossBackends) {
   struct Mode {
     int batch, threads;
   };
-  // batch 1 serial, batch 1 intra-op sharded, batch 4 item-sharded.
+  // batch 1 on one worker, batch 1 on four workers (still one chunk per
+  // layer), batch 4 item-sharded.
   constexpr Mode kModes[] = {{1, 1}, {1, 4}, {4, 4}};
   for (const auto& policy :
        {core::EnginePolicy::opt6loop(), core::EnginePolicy::fused(),

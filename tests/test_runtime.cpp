@@ -1,6 +1,7 @@
-// Runtime subsystem: ThreadPool semantics, deterministic record merging,
-// per-stream RNG reproducibility, workspace growth, and bitwise equivalence
-// of the intra-op parallel GEMM / Winograd paths with their serial ones.
+// Runtime subsystem: ThreadPool task queue, deterministic record merging,
+// per-stream RNG reproducibility, workspace growth, BatchScheduler's
+// pipelined API and per-item error isolation, fault injection and the
+// batch watchdog.
 
 #include <gtest/gtest.h>
 
@@ -14,92 +15,15 @@
 #include "core/conv_engine.hpp"
 #include "dnn/exec_context.hpp"
 #include "dnn/models.hpp"
-#include "gemm/gemm_opt6.hpp"
 #include "runtime/batch_scheduler.hpp"
 #include "runtime/fault_injector.hpp"
 #include "runtime/thread_pool.hpp"
-#include "sim/machine_config.hpp"
-#include "sim/sim_context.hpp"
 #include "test_util.hpp"
-#include "winograd/winograd_conv.hpp"
 
 namespace vlacnn::runtime {
 namespace {
 
 // ---------------------------------------------------------------- ThreadPool
-
-TEST(ThreadPool, RunsEveryItemExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4);
-  std::vector<std::atomic<int>> hits(103);
-  pool.parallel_for(103, [&](int i, int w) {
-    ASSERT_GE(w, 0);
-    ASSERT_LT(w, 4);
-    hits[static_cast<std::size_t>(i)].fetch_add(1);
-  });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ChunkingIsDeterministic) {
-  ThreadPool pool(3);
-  std::vector<int> owner_a(32, -1), owner_b(32, -1);
-  pool.parallel_for(32, [&](int i, int w) { owner_a[static_cast<std::size_t>(i)] = w; });
-  pool.parallel_for(32, [&](int i, int w) { owner_b[static_cast<std::size_t>(i)] = w; });
-  EXPECT_EQ(owner_a, owner_b);
-  // Static contiguous chunks: owners are non-decreasing over items.
-  for (std::size_t i = 1; i < owner_a.size(); ++i)
-    EXPECT_GE(owner_a[i], owner_a[i - 1]);
-}
-
-TEST(ThreadPool, NestedCallRunsInline) {
-  ThreadPool pool(2);
-  std::atomic<int> total{0};
-  pool.parallel_for(2, [&](int, int w) {
-    // A nested parallel_for from a worker must not deadlock; it runs inline
-    // on the same worker.
-    pool.parallel_for(5, [&](int, int inner_w) {
-      EXPECT_EQ(inner_w, w);
-      total.fetch_add(1);
-    });
-  });
-  EXPECT_EQ(total.load(), 10);
-}
-
-TEST(ThreadPool, PropagatesExceptions) {
-  ThreadPool pool(2);
-  EXPECT_THROW(
-      pool.parallel_for(8,
-                        [&](int i, int) {
-                          if (i == 3) throw std::runtime_error("boom");
-                        }),
-      std::runtime_error);
-  // The pool survives a failed job.
-  std::atomic<int> n{0};
-  pool.parallel_for(4, [&](int, int) { n.fetch_add(1); });
-  EXPECT_EQ(n.load(), 4);
-}
-
-// TSan-covered: parallel_for's documented contract is that concurrent calls
-// from different external threads serialize on submit_mu_ — both callers
-// must still run every one of their items exactly once, with no cross-talk.
-TEST(ThreadPool, ConcurrentExternalCallersSerializeSafely) {
-  ThreadPool pool(4);
-  constexpr int kItems = 200;
-  std::vector<std::atomic<int>> hits_a(kItems), hits_b(kItems);
-  std::thread other([&] {
-    pool.parallel_for(kItems, [&](int i, int) {
-      hits_a[static_cast<std::size_t>(i)].fetch_add(1);
-    });
-  });
-  pool.parallel_for(kItems, [&](int i, int) {
-    hits_b[static_cast<std::size_t>(i)].fetch_add(1);
-  });
-  other.join();
-  for (int i = 0; i < kItems; ++i) {
-    EXPECT_EQ(hits_a[static_cast<std::size_t>(i)].load(), 1) << i;
-    EXPECT_EQ(hits_b[static_cast<std::size_t>(i)].load(), 1) << i;
-  }
-}
 
 TEST(ThreadPool, PostedTasksAllRunOnWorkers) {
   ThreadPool pool(3);
@@ -114,21 +38,6 @@ TEST(ThreadPool, PostedTasksAllRunOnWorkers) {
   // post() is non-blocking; tasks drain asynchronously.
   while (pool.pending_tasks() > 0) std::this_thread::yield();
   EXPECT_EQ(ran.load(), kTasks);
-}
-
-TEST(ThreadPool, ParallelForInsideTaskRunsInline) {
-  ThreadPool pool(2);
-  std::atomic<int> total{0};
-  pool.post([&](int w) {
-    // Nested data parallelism from a posted task must not deadlock on the
-    // full-pool barrier; it degrades to an inline loop on this worker.
-    pool.parallel_for(7, [&](int, int inner_w) {
-      EXPECT_EQ(inner_w, w);
-      total.fetch_add(1);
-    });
-  });
-  while (pool.pending_tasks() > 0) std::this_thread::yield();
-  EXPECT_EQ(total.load(), 7);
 }
 
 // ------------------------------------------------------------- record merge
@@ -225,90 +134,6 @@ TEST(ExecContextWorkspace, GrowsGeometricallyAndStaysAligned) {
   }
   EXPECT_LE(reallocs, 40u);
 }
-
-// ------------------------------------------------------- intra-op equality
-
-TEST(IntraOp, Gemm6ParallelMatchesSerialBitwise) {
-  const int M = 96, N = 200, K = 64;
-  const auto a = test::random_vec(static_cast<std::size_t>(M) * K, 1);
-  const auto b = test::random_vec(static_cast<std::size_t>(K) * N, 2);
-  std::vector<float> c_serial(static_cast<std::size_t>(M) * N, 0.0f);
-  std::vector<float> c_par = c_serial;
-
-  gemm::Opt6Config cfg;
-  cfg.blocks = {16, 128, 64};
-  vla::VectorEngine eng(512);
-  {
-    gemm::Gemm6 g(cfg);
-    g(eng, M, N, K, 1.0f, a.data(), K, b.data(), N, c_serial.data(), N);
-  }
-  {
-    ThreadPool pool(4);
-    gemm::Gemm6 g(cfg);
-    g.set_intra_op_pool(&pool);
-    g(eng, M, N, K, 1.0f, a.data(), K, b.data(), N, c_par.data(), N);
-  }
-  EXPECT_EQ(std::memcmp(c_serial.data(), c_par.data(),
-                        c_serial.size() * sizeof(float)),
-            0);
-}
-
-TEST(IntraOp, WinogradParallelMatchesSerialBitwise) {
-  dnn::ConvDesc d;
-  d.in_c = 8;
-  d.in_h = d.in_w = 30;
-  d.out_c = 12;
-  d.ksize = 3;
-  d.stride = 1;
-  d.pad = 1;
-  const auto input =
-      test::random_vec(static_cast<std::size_t>(d.in_c) * d.in_h * d.in_w, 3);
-  const auto weights =
-      test::random_vec(static_cast<std::size_t>(d.weight_count()), 4);
-  const std::size_t out_n =
-      static_cast<std::size_t>(d.out_c) * d.out_h() * d.out_w();
-  std::vector<float> out_serial(out_n, 0.0f), out_par(out_n, 0.0f);
-
-  vla::VectorEngine eng(512);
-  {
-    winograd::WinogradConv wino;
-    wino.run(eng, d, input.data(), weights.data(), out_serial.data());
-  }
-  {
-    ThreadPool pool(4);
-    winograd::WinogradConv wino;
-    wino.set_intra_op_pool(&pool);
-    wino.run(eng, d, input.data(), weights.data(), out_par.data());
-  }
-  EXPECT_EQ(std::memcmp(out_serial.data(), out_par.data(),
-                        out_n * sizeof(float)),
-            0);
-}
-
-TEST(IntraOp, SimulatedRunsStaySerial) {
-  // An instrumented engine must never fan out (the timing model is a single
-  // instruction stream): the pool being attached must not change numerics
-  // or crash, and cycles must accumulate.
-  sim::SimContext sctx(sim::rvv_gem5());
-  vla::VectorEngine eng(sctx);
-  ThreadPool pool(4);
-  winograd::WinogradConv wino;
-  wino.set_intra_op_pool(&pool);
-  dnn::ConvDesc d;
-  d.in_c = 4;
-  d.in_h = d.in_w = 18;
-  d.out_c = 4;
-  const auto input =
-      test::random_vec(static_cast<std::size_t>(d.in_c) * d.in_h * d.in_w, 5);
-  const auto weights =
-      test::random_vec(static_cast<std::size_t>(d.weight_count()), 6);
-  std::vector<float> out(static_cast<std::size_t>(d.out_c) * d.out_h() *
-                         d.out_w());
-  wino.run(eng, d, input.data(), weights.data(), out.data());
-  EXPECT_GT(sctx.cycles(), 0u);
-}
-
-// ------------------------------------------------------ scheduler records
 
 // ------------------------------------------------- pipelined submit / wait
 
@@ -436,11 +261,10 @@ TEST(BatchScheduler, ItemFailuresAreIsolatedPerRequest) {
   // A kernel throwing for every item no longer fails the batch wholesale:
   // wait() returns normally with every item marked failed in item_errors.
   auto net = dnn::build_vgg16(32, 4);
-  for (ExecutorKind kind : {ExecutorKind::Serial, ExecutorKind::Graph}) {
+  for (int threads : {1, 2, 4}) {
     core::ConvolutionEngine engine(core::EnginePolicy::opt6loop());
     SchedulerConfig cfg;
-    cfg.threads = 2;
-    cfg.executor = kind;
+    cfg.threads = threads;
     BatchScheduler sched(engine, cfg);
     sched.test_item_hook = [](int layer, int item) {
       if (layer == 1 && item >= 0)
@@ -452,7 +276,7 @@ TEST(BatchScheduler, ItemFailuresAreIsolatedPerRequest) {
     ASSERT_EQ(failed.item_errors.size(), 4u);
     for (int b = 0; b < 4; ++b) {
       ASSERT_NE(failed.item_errors[static_cast<std::size_t>(b)], nullptr)
-          << "item " << b;
+          << "threads=" << threads << " item " << b;
       EXPECT_THROW(std::rethrow_exception(
                        failed.item_errors[static_cast<std::size_t>(b)]),
                    std::runtime_error);
@@ -470,26 +294,25 @@ TEST(BatchScheduler, ItemFailuresAreIsolatedPerRequest) {
 }
 
 TEST(BatchScheduler, OneFailedItemLeavesSiblingsBitIdentical) {
-  // The per-item isolation pin (both executors): item 1 throwing mid-layer
-  // fails only its own request — every other item's output is bit-identical
-  // to a fault-free run, and the scheduler keeps serving afterwards.
+  // The per-item isolation pin: item 1 throwing mid-layer fails only its own
+  // request — every other item's output is bit-identical to a fault-free
+  // sequential forward, and the scheduler keeps serving afterwards.
   auto net = dnn::build_vgg16(32, 4);
   constexpr int kItems = 4;
-  for (ExecutorKind kind : {ExecutorKind::Serial, ExecutorKind::Graph}) {
+  const auto make_in = [&] {
+    dnn::Tensor in(kItems, net->in_c(), net->in_h(), net->in_w());
+    in.randomize_batch(31);
+    return in;
+  };
+  const std::vector<float> ref = test::sequential_forward(
+      *net, core::BackendPlan::uniform(core::EnginePolicy::opt6loop()),
+      make_in());
+  const std::size_t item_size = ref.size() / kItems;
+  for (int threads : {1, 2, 4}) {
     core::ConvolutionEngine engine(core::EnginePolicy::opt6loop());
     SchedulerConfig cfg;
-    cfg.threads = 2;
-    cfg.executor = kind;
+    cfg.threads = threads;
     BatchScheduler sched(engine, cfg);
-    const auto make_in = [&] {
-      dnn::Tensor in(kItems, net->in_c(), net->in_h(), net->in_w());
-      in.randomize_batch(31);
-      return in;
-    };
-    // Fault-free reference first (the hook is installed afterwards).
-    BatchResult ref = sched.wait(sched.submit(*net, make_in()));
-    ASSERT_TRUE(ref.item_errors.empty());
-
     sched.test_item_hook = [](int layer, int item) {
       if (layer == 1 && item == 1)
         throw std::runtime_error("injected item-1 failure");
@@ -502,20 +325,25 @@ TEST(BatchScheduler, OneFailedItemLeavesSiblingsBitIdentical) {
         continue;
       }
       ASSERT_EQ(res.item_errors[static_cast<std::size_t>(b)], nullptr)
-          << "item " << b << " collaterally failed";
-      EXPECT_EQ(std::memcmp(res.output.item_data(b), ref.output.item_data(b),
-                            res.output.item_size() * sizeof(float)),
+          << "threads=" << threads << " item " << b << " collaterally failed";
+      ASSERT_EQ(res.output.item_size(), item_size);
+      EXPECT_EQ(std::memcmp(res.output.item_data(b),
+                            ref.data() + static_cast<std::size_t>(b) * item_size,
+                            item_size * sizeof(float)),
                 0)
-          << "item " << b << " diverged from the fault-free run";
+          << "threads=" << threads << " item " << b
+          << " diverged from the fault-free run";
     }
 
     // No dangling state: the very next batch is clean and bit-identical.
     sched.test_item_hook = nullptr;
     BatchResult after = sched.wait(sched.submit(*net, make_in()));
     EXPECT_TRUE(after.item_errors.empty());
-    EXPECT_EQ(std::memcmp(after.output.data(), ref.output.data(),
-                          ref.output.size() * sizeof(float)),
-              0);
+    ASSERT_EQ(after.output.size(), ref.size());
+    EXPECT_EQ(std::memcmp(after.output.data(), ref.data(),
+                          ref.size() * sizeof(float)),
+              0)
+        << "threads=" << threads;
   }
 }
 
@@ -651,7 +479,6 @@ TEST(Watchdog, WedgedBatchIsCancelledAndSchedulerRecovers) {
   core::ConvolutionEngine engine(core::EnginePolicy::opt6loop());
   SchedulerConfig cfg;
   cfg.threads = 2;
-  cfg.executor = ExecutorKind::Graph;
   cfg.watchdog_timeout_s = 0.5;
   cfg.watchdog_poll_s = 0.01;
   BatchScheduler sched(engine, cfg);
@@ -690,28 +517,6 @@ TEST(Watchdog, HealthyTrafficIsNeverCancelled) {
     EXPECT_TRUE(r.item_errors.empty()) << k;
   }
   EXPECT_EQ(sched.watchdog_wedges(), 0u);
-}
-
-TEST(BatchScheduler, SerialEscapeHatchMatchesGraphBitwise) {
-  auto net = dnn::build_vgg16(32, 4);
-  auto run_kind = [&](ExecutorKind kind) {
-    core::ConvolutionEngine engine(core::EnginePolicy::opt6loop());
-    SchedulerConfig cfg;
-    cfg.threads = 2;
-    cfg.executor = kind;
-    BatchScheduler sched(engine, cfg);
-    dnn::Tensor in(3, net->in_c(), net->in_h(), net->in_w());
-    in.randomize_batch(77);
-    BatchResult r = sched.wait(sched.submit(*net, std::move(in)));
-    return std::vector<float>(r.output.data(),
-                              r.output.data() + r.output.size());
-  };
-  const auto serial = run_kind(ExecutorKind::Serial);
-  const auto graph = run_kind(ExecutorKind::Graph);
-  ASSERT_EQ(serial.size(), graph.size());
-  EXPECT_EQ(
-      std::memcmp(serial.data(), graph.data(), serial.size() * sizeof(float)),
-      0);
 }
 
 TEST(BatchScheduler, SubmitValidatesShapeSynchronously) {

@@ -599,26 +599,30 @@ TEST(SparseWeights, SelectorMemoKeyIncludesFormatSignature) {
 
 /// Scheduler run under an explicit BackendPlan (the work-graph suite's
 /// helper takes an EnginePolicy; sparse plans only exist as BackendPlans).
+dnn::Tensor sched_input(const dnn::Network& net, int batch) {
+  dnn::Tensor in(batch, net.in_c(), net.in_h(), net.in_w());
+  in.randomize_batch(4321, 0.0f, 1.0f);
+  return in;
+}
+
 std::vector<float> run_sched_plan(dnn::Network& net,
                                   const core::BackendPlan& plan, int batch,
-                                  int threads, runtime::ExecutorKind kind) {
+                                  int threads) {
   core::ConvolutionEngine engine(plan);
   runtime::SchedulerConfig cfg;
   cfg.threads = threads;
-  cfg.executor = kind;
   runtime::BatchScheduler sched(engine, cfg);
-  dnn::Tensor in(batch, net.in_c(), net.in_h(), net.in_w());
-  in.randomize_batch(4321, 0.0f, 1.0f);
-  runtime::BatchResult r = sched.wait(sched.submit(net, std::move(in)));
+  runtime::BatchResult r =
+      sched.wait(sched.submit(net, sched_input(net, batch)));
   return {r.output.data(), r.output.data() + r.output.size()};
 }
 
 TEST(SparseWeights, WorkGraphSparseBitIdenticalToSerialAcrossBatchesWorkers) {
   // Work-graph x sparse: sparse layers are weight-resident by construction,
   // so the scheduler batch-fuses them into barrier tasks; the graph
-  // executor must stay bitwise equal to the serial one across batch sizes
-  // and worker counts — including the fused-residual yolo net whose
-  // shortcut layer aliases its producer's output.
+  // executor must stay bitwise equal to a sequential Network::forward across
+  // batch sizes and worker counts — including the fused-residual yolo net
+  // whose shortcut layer aliases its producer's output.
   struct ModelCase {
     const char* tag;
     std::unique_ptr<dnn::Network> (*build)();
@@ -636,18 +640,18 @@ TEST(SparseWeights, WorkGraphSparseBitIdenticalToSerialAcrossBatchesWorkers) {
       resident_fused_plan(PackFormat::F32).with_sparsity(0.5);
   for (const auto& m : models) {
     auto net = m.build();
+    // Inputs are drawn per item stream, so batch b is the first b items of
+    // batch 8 and one sequential forward references every batch size.
+    const auto ref = test::sequential_forward(*net, plan, sched_input(*net, 8));
     for (int batch : {1, 2, 4, 8}) {
-      const auto ref = run_sched_plan(*net, plan, batch, 1,
-                                      runtime::ExecutorKind::Serial);
       for (int threads : {1, 2, 4}) {
         const std::string tag = std::string(m.tag) +
                                 " batch=" + std::to_string(batch) +
                                 " threads=" + std::to_string(threads);
-        const auto graph = run_sched_plan(*net, plan, batch, threads,
-                                          runtime::ExecutorKind::Graph);
-        ASSERT_EQ(graph.size(), ref.size()) << tag;
+        const auto graph = run_sched_plan(*net, plan, batch, threads);
+        ASSERT_EQ(graph.size() * 8, ref.size() * batch) << tag;
         EXPECT_EQ(std::memcmp(graph.data(), ref.data(),
-                              ref.size() * sizeof(float)),
+                              graph.size() * sizeof(float)),
                   0)
             << tag;
       }

@@ -4,7 +4,9 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/conv_engine.hpp"
 #include "dnn/conv_desc.hpp"
+#include "dnn/network.hpp"
 
 namespace vlacnn::test {
 
@@ -68,6 +70,22 @@ inline bool allclose(const float* a, const float* b, std::size_t n,
     if (diff > bound) return false;
   }
   return true;
+}
+
+/// The reference every BatchScheduler run must equal bit for bit: one
+/// sequential Network::forward on one ExecContext under `plan`, with the
+/// weights prepared first as the scheduler prepares them.
+inline std::vector<float> sequential_forward(dnn::Network& net,
+                                             const core::BackendPlan& plan,
+                                             const dnn::Tensor& input,
+                                             unsigned vlen_bits = 512) {
+  vla::VectorEngine eng(vlen_bits);
+  dnn::ExecContext ctx(eng);
+  core::ConvolutionEngine engine(plan);
+  engine.install(ctx);
+  engine.prepare(net);
+  const dnn::Tensor& out = net.forward(ctx, input);
+  return {out.data(), out.data() + out.size()};
 }
 
 }  // namespace vlacnn::test

@@ -1,7 +1,8 @@
-// Work-graph executor: bitwise equivalence with the serialized executor
-// across models / batch sizes / worker counts / backend plans, proof that
-// batches overlap in the graph, and a sleep-injection stress test gating
-// that interleaving never changes outputs or merged LayerRecord order.
+// Work-graph executor: bitwise equivalence with a sequential
+// Network::forward across models / batch sizes / worker counts / backend
+// plans, proof that batches overlap in the graph, and a sleep-injection
+// stress test gating that interleaving never changes outputs or merged
+// LayerRecord order.
 
 #include <gtest/gtest.h>
 
@@ -32,18 +33,21 @@ struct SchedRun {
   ExecStats exec;
 };
 
+dnn::Tensor make_input(const dnn::Network& net, int batch) {
+  dnn::Tensor in(batch, net.in_c(), net.in_h(), net.in_w());
+  in.randomize_batch(4321, 0.0f, 1.0f);
+  return in;
+}
+
 SchedRun run_sched(dnn::Network& net, const core::EnginePolicy& policy,
-                   int batch, int threads, ExecutorKind kind,
+                   int batch, int threads,
                    std::function<void(int, int)> hook = nullptr) {
   core::ConvolutionEngine engine(policy);
   SchedulerConfig cfg;
   cfg.threads = threads;
-  cfg.executor = kind;
   BatchScheduler sched(engine, cfg);
   sched.test_item_hook = std::move(hook);
-  dnn::Tensor in(batch, net.in_c(), net.in_h(), net.in_w());
-  in.randomize_batch(4321, 0.0f, 1.0f);
-  BatchResult r = sched.wait(sched.submit(net, std::move(in)));
+  BatchResult r = sched.wait(sched.submit(net, make_input(net, batch)));
   SchedRun out;
   out.output.assign(r.output.data(), r.output.data() + r.output.size());
   out.records = std::move(r.records);
@@ -51,7 +55,20 @@ SchedRun run_sched(dnn::Network& net, const core::EnginePolicy& policy,
   return out;
 }
 
-// Accounting identity between executors: same layer order, same backend
+// Inputs are drawn per item stream (Tensor::randomize_batch), so a batch of
+// `items` is the first `items` items of a batch of `ref_items`, and one
+// sequential forward of the larger batch references every smaller one.
+void expect_prefix_of(const std::vector<float>& got,
+                      const std::vector<float>& ref, int items, int ref_items,
+                      const std::string& tag) {
+  ASSERT_EQ(got.size() * static_cast<std::size_t>(ref_items),
+            ref.size() * static_cast<std::size_t>(items))
+      << tag;
+  EXPECT_EQ(std::memcmp(got.data(), ref.data(), got.size() * sizeof(float)), 0)
+      << tag;
+}
+
+// Accounting identity across worker counts: same layer order, same backend
 // labels, same item/flop totals. Wall times naturally differ.
 void expect_same_records(const std::vector<dnn::LayerRecord>& a,
                          const std::vector<dnn::LayerRecord>& b,
@@ -82,7 +99,7 @@ const ModelCase kModels[] = {
      }},
 };
 
-TEST(WorkGraph, BitIdenticalToSerialAcrossModelsBatchesWorkersPlans) {
+TEST(WorkGraph, BitIdenticalToSequentialForwardAcrossModelsBatchesWorkersPlans) {
   struct PolicyCase {
     const char* tag;
     core::EnginePolicy policy;
@@ -97,24 +114,20 @@ TEST(WorkGraph, BitIdenticalToSerialAcrossModelsBatchesWorkersPlans) {
   for (const auto& m : kModels) {
     auto net = m.build();
     for (const auto& p : policies) {
+      const std::vector<float> ref = test::sequential_forward(
+          *net, core::BackendPlan::uniform(p.policy), make_input(*net, 8));
       for (int batch : {1, 2, 4, 8}) {
-        // The serial executor is the reference; it is already known to be
-        // thread-count-invariant, so one reference per (model, plan, batch)
-        // suffices.
-        const SchedRun ref =
-            run_sched(*net, p.policy, batch, 1, ExecutorKind::Serial);
+        // Records are checked against the 1-worker graph run: the merge is
+        // canonical, so worker count must not change them.
+        const SchedRun one = run_sched(*net, p.policy, batch, 1);
         for (int threads : {1, 2, 4}) {
           const std::string tag = std::string(m.tag) + "/" + p.tag +
                                   " batch=" + std::to_string(batch) +
                                   " threads=" + std::to_string(threads);
           const SchedRun graph =
-              run_sched(*net, p.policy, batch, threads, ExecutorKind::Graph);
-          ASSERT_EQ(graph.output.size(), ref.output.size()) << tag;
-          EXPECT_EQ(std::memcmp(graph.output.data(), ref.output.data(),
-                                ref.output.size() * sizeof(float)),
-                    0)
-              << tag;
-          expect_same_records(graph.records, ref.records, tag);
+              threads == 1 ? one : run_sched(*net, p.policy, batch, threads);
+          expect_prefix_of(graph.output, ref, batch, 8, tag);
+          expect_same_records(graph.records, one.records, tag);
         }
       }
     }
@@ -126,7 +139,6 @@ TEST(WorkGraph, OverlapStartsBeforePreviousBatchCompletes) {
   core::ConvolutionEngine engine(core::EnginePolicy::opt6loop());
   SchedulerConfig cfg;
   cfg.threads = 2;
-  cfg.executor = ExecutorKind::Graph;
   BatchScheduler sched(engine, cfg);
 
   // Slow down the first chunk of the LATE layers only: one worker crawls
@@ -280,7 +292,6 @@ TEST(WorkGraph, DistinctNetworksInFlightRetireFifo) {
   core::ConvolutionEngine engine(core::EnginePolicy::opt6loop());
   SchedulerConfig cfg;
   cfg.threads = 2;
-  cfg.executor = ExecutorKind::Graph;
   BatchScheduler sched(engine, cfg);
   sched.test_item_hook = [](int, int item) {
     if (item >= 4) std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -319,7 +330,8 @@ TEST(WorkGraphStress, RandomSleepsNeverChangeOutputsOrRecordOrder) {
   resident.weight_resident = true;
   for (const auto& m : kModels) {
     auto net = m.build();
-    const SchedRun ref = run_sched(*net, resident, 6, 1, ExecutorKind::Serial);
+    const std::vector<float> ref = test::sequential_forward(
+        *net, core::BackendPlan::uniform(resident), make_input(*net, 6));
     std::atomic<std::uint32_t> salt{0};
     const auto jitter = [&salt](int layer, int item) {
       // Cheap per-call pseudo-random delay, deliberately unsynchronized
@@ -330,19 +342,21 @@ TEST(WorkGraphStress, RandomSleepsNeverChangeOutputsOrRecordOrder) {
       x ^= x >> 13;
       std::this_thread::sleep_for(std::chrono::microseconds(x % 200));
     };
-    for (int threads : {1, 2, 4, 8}) {
-      for (int round = 0; round < 2; ++round) {
-        const std::string tag = std::string(m.tag) +
-                                " threads=" + std::to_string(threads) +
-                                " round=" + std::to_string(round);
-        const SchedRun got =
-            run_sched(*net, resident, 6, threads, ExecutorKind::Graph, jitter);
-        ASSERT_EQ(got.output.size(), ref.output.size()) << tag;
-        EXPECT_EQ(std::memcmp(got.output.data(), ref.output.data(),
-                              ref.output.size() * sizeof(float)),
-                  0)
-            << tag;
-        expect_same_records(got.records, ref.records, tag);
+    // Batch 1 is one chunk per layer; batch 6 splits unevenly over 4 and 8
+    // workers.
+    for (int batch : {1, 6}) {
+      const SchedRun one = run_sched(*net, resident, batch, 1);
+      for (int threads : {1, 2, 4, 8}) {
+        for (int round = 0; round < 2; ++round) {
+          const std::string tag = std::string(m.tag) +
+                                  " batch=" + std::to_string(batch) +
+                                  " threads=" + std::to_string(threads) +
+                                  " round=" + std::to_string(round);
+          const SchedRun got =
+              run_sched(*net, resident, batch, threads, jitter);
+          expect_prefix_of(got.output, ref, batch, 6, tag);
+          expect_same_records(got.records, one.records, tag);
+        }
       }
     }
   }
