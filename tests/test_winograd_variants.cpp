@@ -4,12 +4,20 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "winograd/variants.hpp"
 
 namespace vlacnn::winograd {
+
+// Print the parameter as its variant name, not its address: the address
+// moves with every process, and the printed value is part of the test's
+// registered name. Outside the anonymous namespace so that argument-dependent
+// lookup finds it.
+void PrintTo(const WinogradVariant* v, std::ostream* os) { *os << v->name; }
+
 namespace {
 
 class VariantTest : public ::testing::TestWithParam<const WinogradVariant*> {};
