@@ -63,6 +63,32 @@ BENCHMARK(BM_GemmVariant<gemm::GemmVariant::Opt6Loop>)
     ->Args({128, 2048})
     ->Args({256, 2048});
 
+// The tail-strip shape of tiny@96's late 3x3 layers (M=1024, K=4608, N=9 on
+// a 512-bit engine): every vector-scalar FMA covers 9 of 16 lanes, so the
+// time is the engine's per-op cost rather than lane work. Items are FMA
+// calls, so items_per_second inverts to ns per call.
+template <gemm::GemmVariant V>
+void BM_GemmNarrowN(benchmark::State& state) {
+  constexpr int m = 1024, k = 4608, n = 9;
+  auto a = rand_vec(static_cast<std::size_t>(m) * k, 1);
+  auto b = rand_vec(static_cast<std::size_t>(k) * n, 2);
+  std::vector<float> c(static_cast<std::size_t>(m) * n, 0.0f);
+  vla::VectorEngine eng(512);
+  auto fn = gemm::make_gemm_fn(V);
+  const auto strips =
+      static_cast<std::int64_t>((n + eng.vlmax() - 1) / eng.vlmax());
+  for (auto _ : state) {
+    fn(eng, m, n, k, 1.0f, a.data(), k, b.data(), n, c.data(), n);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * m * k * strips);
+}
+BENCHMARK(BM_GemmNarrowN<gemm::GemmVariant::Opt3Loop>)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GemmNarrowN<gemm::GemmVariant::Opt6Loop>)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_Im2col(benchmark::State& state) {
   dnn::ConvDesc d;
   d.in_c = 64;

@@ -137,18 +137,26 @@ class Gemm6 {
   };
 
   /// The A panel a micro-kernel invocation consumes: run-time packed
-  /// buffers and streamed A are always F32; a resident cache image carries
-  /// its own storage format, which the micro-kernel widens on load.
+  /// buffers and streamed A are fp32; a resident cache image keeps its own
+  /// storage format, and run_blocked picks the micro-kernel that widens
+  /// that format on load.
   struct APanel {
     const void* data = nullptr;
     int stride = 0;  ///< row stride in ELEMENTS (kc when packed, lda else)
-    PackFormat fmt = PackFormat::F32;
     /// Sparse resident image + the panel's column origin: the micro-kernel
     /// reads the (panel, row-block) bitmap/offset words itself. data/stride
     /// are unused when set.
     const PackedWeights* sparse = nullptr;
     int k1 = 0;
   };
+
+  /// One micro-kernel instantiation (A format x alpha case); run_blocked
+  /// picks it once per call, so no format switch or alpha test runs per FMA.
+  using MicroKernel = void (Gemm6::*)(vla::VectorEngine&, int, int, int,
+                                      float, const APanel&, const float*, int,
+                                      float*, int, int, int, bool,
+                                      const dnn::EpilogueDesc*);
+  static MicroKernel pick_micro_kernel(PackFormat fmt, bool scaled);
 
   void run_blocked(vla::VectorEngine& eng, int M, int N, int K, float alpha,
                    const float* A, int lda, const float* B, int ldb,
@@ -165,16 +173,29 @@ class Gemm6 {
                             int nc);
   void pack_a_panel(vla::VectorEngine& eng, const float* A, int lda, int i0,
                     int mc, int k0, int kc);
+  /// Dense micro-kernel over A elements stored in format F (F32 / Bf16 /
+  /// Int8PerChannel); kScaled applies alpha != 1 to every A element.
+  template <PackFormat F, bool kScaled>
   void micro_kernel(vla::VectorEngine& eng, int mc, int nc, int kc,
                     float alpha, const APanel& a, const float* b_panel,
                     int b_stride, float* C, int ldc, int i0, int j0,
                     bool beta0, const dnn::EpilogueDesc* epi);
-  /// Skip-aware variant consuming a sparse resident image (a.sparse set):
-  /// walks only occupied 4×16 blocks of each A panel.
+  /// Skip-aware variant consuming a sparse resident image (a.sparse set,
+  /// F = SparseF32 / SparseBf16, alpha = 1): walks only occupied 4×16
+  /// blocks of each A panel.
+  template <PackFormat F>
   void micro_kernel_sparse(vla::VectorEngine& eng, int mc, int nc, int kc,
                            float alpha, const APanel& a, const float* b_panel,
                            int b_stride, float* C, int ldc, int i0, int j0,
                            bool beta0, const dnn::EpilogueDesc* epi);
+  /// One rows x gvl C tile at (ci, cj), shared by both micro-kernels: C / A
+  /// / B prefetch, accumulator init (beta0 zero or C load), the caller's
+  /// k-loop, then the fused epilogue and the store.
+  template <class KLoop>
+  void c_tile(vla::VectorEngine& eng, int rows, int gvl, float* C, int ldc,
+              int ci, int cj, bool beta0, const dnn::EpilogueDesc* epi,
+              const void* a_pf, std::size_t a_pf_bytes, const float* b_pf,
+              KLoop&& k_loop);
 
   Opt6Config cfg_;
   AlignedBuffer<float> pack_a_buf_;

@@ -22,17 +22,6 @@ VectorEngine::VectorEngine(sim::SimContext& ctx)
   ctx_ = &ctx;
 }
 
-float* VectorEngine::reg(Vreg v) {
-  return regfile_.data() + static_cast<std::size_t>(v) * vlmax();
-}
-const float* VectorEngine::reg(Vreg v) const {
-  return regfile_.data() + static_cast<std::size_t>(v) * vlmax();
-}
-
-void VectorEngine::check_vreg(Vreg v) const {
-  VLACNN_REQUIRE(v >= 0 && v < static_cast<int>(kNumVregs),
-                 "vector register out of range");
-}
 void VectorEngine::check_preg(Preg p) const {
   VLACNN_REQUIRE(p >= 0 && p < static_cast<int>(kNumPregs),
                  "predicate register out of range");
@@ -67,12 +56,6 @@ void VectorEngine::note_vmem_strided(sim::VopClass cls, int dst,
 
 // ---------------- strip mining / predication ----------------
 
-std::size_t VectorEngine::setvl(std::size_t requested) {
-  gvl_ = std::min(requested, vlmax());
-  note_vop(sim::VopClass::SetVl, -1, {}, 0);
-  return gvl_;
-}
-
 std::size_t VectorEngine::whilelt(Preg p, std::size_t i, std::size_t n) {
   check_preg(p);
   std::uint8_t* pr = predfile_.data() + static_cast<std::size_t>(p) * vlmax();
@@ -104,20 +87,6 @@ std::size_t VectorEngine::active_lanes(Preg p) const {
 }
 
 // ---------------- memory ----------------
-
-void VectorEngine::vload(Vreg vd, const float* src) {
-  check_vreg(vd);
-  std::memcpy(reg(vd), src, gvl_ * sizeof(float));
-  count_mem(gvl_ * sizeof(float), false);
-  note_vmem(sim::VopClass::Load, vd, {}, gvl_, src, gvl_ * sizeof(float), false);
-}
-
-void VectorEngine::vstore(Vreg vs, float* dst) {
-  check_vreg(vs);
-  std::memcpy(dst, reg(vs), gvl_ * sizeof(float));
-  count_mem(gvl_ * sizeof(float), true);
-  note_vmem(sim::VopClass::Store, -1, {vs}, gvl_, dst, gvl_ * sizeof(float), true);
-}
 
 void VectorEngine::vload_pred(Vreg vd, Preg p, const float* src) {
   check_vreg(vd);
@@ -280,80 +249,6 @@ void VectorEngine::prefetch(const void* addr, std::size_t bytes, int level) {
 
 // ---------------- arithmetic ----------------
 
-void VectorEngine::vbroadcast(Vreg vd, float x) {
-  check_vreg(vd);
-  float* d = reg(vd);
-  std::fill(d, d + gvl_, x);
-  note_vop(sim::VopClass::Broadcast, vd, {}, gvl_);
-}
-
-#define VLACNN_DEFINE_BINOP(NAME, EXPR)                            \
-  void VectorEngine::NAME(Vreg vd, Vreg va, Vreg vb) {             \
-    check_vreg(vd);                                                \
-    check_vreg(va);                                                \
-    check_vreg(vb);                                                \
-    float* d = reg(vd);                                            \
-    const float* a = reg(va);                                      \
-    const float* b = reg(vb);                                      \
-    for (std::size_t l = 0; l < gvl_; ++l) d[l] = (EXPR);          \
-    note_vop(sim::VopClass::Arith, vd, {va, vb}, gvl_);            \
-  }
-
-VLACNN_DEFINE_BINOP(vadd, a[l] + b[l])
-VLACNN_DEFINE_BINOP(vsub, a[l] - b[l])
-VLACNN_DEFINE_BINOP(vmul, a[l] * b[l])
-VLACNN_DEFINE_BINOP(vdiv, a[l] / b[l])
-VLACNN_DEFINE_BINOP(vmax, std::max(a[l], b[l]))
-VLACNN_DEFINE_BINOP(vmin, std::min(a[l], b[l]))
-#undef VLACNN_DEFINE_BINOP
-
-void VectorEngine::vfma(Vreg vacc, Vreg va, Vreg vb) {
-  check_vreg(vacc);
-  check_vreg(va);
-  check_vreg(vb);
-  float* acc = reg(vacc);
-  const float* a = reg(va);
-  const float* b = reg(vb);
-  for (std::size_t l = 0; l < gvl_; ++l) acc[l] += a[l] * b[l];
-  note_vop(sim::VopClass::Fma, vacc, {vacc, va, vb}, gvl_);
-}
-
-void VectorEngine::vfma_scalar(Vreg vacc, float a, Vreg vb) {
-  check_vreg(vacc);
-  check_vreg(vb);
-  float* acc = reg(vacc);
-  const float* b = reg(vb);
-  for (std::size_t l = 0; l < gvl_; ++l) acc[l] += a * b[l];
-  note_vop(sim::VopClass::Fma, vacc, {vacc, vb}, gvl_);
-}
-
-void VectorEngine::vadd_scalar(Vreg vd, Vreg va, float b) {
-  check_vreg(vd);
-  check_vreg(va);
-  float* d = reg(vd);
-  const float* a = reg(va);
-  for (std::size_t l = 0; l < gvl_; ++l) d[l] = a[l] + b;
-  note_vop(sim::VopClass::Arith, vd, {va}, gvl_);
-}
-
-void VectorEngine::vmul_scalar(Vreg vd, Vreg va, float b) {
-  check_vreg(vd);
-  check_vreg(va);
-  float* d = reg(vd);
-  const float* a = reg(va);
-  for (std::size_t l = 0; l < gvl_; ++l) d[l] = a[l] * b;
-  note_vop(sim::VopClass::Arith, vd, {va}, gvl_);
-}
-
-void VectorEngine::vmax_scalar(Vreg vd, Vreg va, float b) {
-  check_vreg(vd);
-  check_vreg(va);
-  float* d = reg(vd);
-  const float* a = reg(va);
-  for (std::size_t l = 0; l < gvl_; ++l) d[l] = std::max(a[l], b);
-  note_vop(sim::VopClass::Arith, vd, {va}, gvl_);
-}
-
 void VectorEngine::vfma_pred(Vreg vacc, Preg p, Vreg va, Vreg vb) {
   check_vreg(vacc);
   check_vreg(va);
@@ -460,13 +355,8 @@ void VectorEngine::vzip_hi(Vreg vd, Vreg va, Vreg vb) {
 
 // ---------------- scalar accounting / test access ----------------
 
-void VectorEngine::scalar_ops(std::uint64_t n) {
-  if (ctx_ != nullptr) ctx_->timing().scalar(n);
-}
-
-void VectorEngine::scalar_mem(const void* addr, std::size_t bytes, bool write) {
-  count_mem(bytes, write);
-  if (ctx_ == nullptr) return;
+void VectorEngine::note_scalar_mem(const void* addr, std::size_t bytes,
+                                   bool write) {
   const std::uint64_t sim_addr = sim::AddressMap::instance().translate(addr);
   ctx_->timing().scalar_mem(ctx_->memory().scalar_access(sim_addr, bytes, write));
 }

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "common/error.hpp"
@@ -27,6 +29,13 @@ using Preg = int;
 /// `sim::SimContext` is attached, each operation additionally feeds the
 /// scoreboard timing model and the cache hierarchy, so the same kernel code
 /// yields both numerics and simulated cycles.
+///
+/// The hot ops (setvl, unit-stride load/store, broadcast, the FMAs, the
+/// element-wise arithmetic and the scalar accounting) are defined inline:
+/// with no context attached they compile to a register check and a plain
+/// lane loop inside the calling kernel. Their instrumentation (the timing
+/// model, note_vmem, note_scalar_mem) is out of line and runs only when
+/// `ctx_ != nullptr`. Gathers, predicated ops and permutes are out of line.
 class VectorEngine {
  public:
   static constexpr unsigned kNumVregs = 32;
@@ -46,7 +55,11 @@ class VectorEngine {
 
   /// `vsetvl`: returns the granted vector length min(requested, VLMAX) and
   /// makes it the implicit element count of subsequent unpredicated ops.
-  std::size_t setvl(std::size_t requested);
+  std::size_t setvl(std::size_t requested) {
+    gvl_ = std::min(requested, vlmax());
+    if (ctx_ != nullptr) ctx_->timing().vop(sim::VopClass::SetVl, -1, {}, 0);
+    return gvl_;
+  }
   [[nodiscard]] std::size_t gvl() const { return gvl_; }
 
   // ---------------- SVE-style predication ----------------
@@ -60,9 +73,23 @@ class VectorEngine {
   // ---------------- memory operations ----------------
 
   /// Unit-stride load of gvl() elements.
-  void vload(Vreg vd, const float* src);
+  void vload(Vreg vd, const float* src) {
+    check_vreg(vd);
+    const std::size_t bytes = gvl_ * sizeof(float);
+    std::memcpy(reg(vd), src, bytes);
+    count_mem(bytes, false);
+    if (ctx_ != nullptr)
+      note_vmem(sim::VopClass::Load, vd, {}, gvl_, src, bytes, false);
+  }
   /// Unit-stride store of gvl() elements.
-  void vstore(Vreg vs, float* dst);
+  void vstore(Vreg vs, float* dst) {
+    check_vreg(vs);
+    const std::size_t bytes = gvl_ * sizeof(float);
+    std::memcpy(dst, reg(vs), bytes);
+    count_mem(bytes, true);
+    if (ctx_ != nullptr)
+      note_vmem(sim::VopClass::Store, -1, {vs}, gvl_, dst, bytes, true);
+  }
   /// Predicated unit-stride load/store (SVE): inactive lanes are zeroed /
   /// skipped.
   void vload_pred(Vreg vd, Preg p, const float* src);
@@ -89,22 +116,80 @@ class VectorEngine {
 
   // ---------------- arithmetic ----------------
 
-  void vbroadcast(Vreg vd, float x);
+  void vbroadcast(Vreg vd, float x) {
+    check_vreg(vd);
+    std::fill_n(reg(vd), gvl_, x);
+    if (ctx_ != nullptr)
+      ctx_->timing().vop(sim::VopClass::Broadcast, vd, {}, gvl_);
+  }
+
+#define VLACNN_DEFINE_BINOP(NAME, EXPR)                            \
+  void NAME(Vreg vd, Vreg va, Vreg vb) {                           \
+    check_vreg(vd);                                                \
+    check_vreg(va);                                                \
+    check_vreg(vb);                                                \
+    float* d = reg(vd);                                            \
+    const float* a = reg(va);                                      \
+    const float* b = reg(vb);                                      \
+    const std::size_t n = gvl_;                                    \
+    for (std::size_t l = 0; l < n; ++l) d[l] = (EXPR);             \
+    if (ctx_ != nullptr)                                           \
+      ctx_->timing().vop(sim::VopClass::Arith, vd, {va, vb}, n);   \
+  }
+
   /// vd[i] = a[i] + b[i], etc. All use gvl() elements.
-  void vadd(Vreg vd, Vreg va, Vreg vb);
-  void vsub(Vreg vd, Vreg va, Vreg vb);
-  void vmul(Vreg vd, Vreg va, Vreg vb);
-  void vdiv(Vreg vd, Vreg va, Vreg vb);
-  void vmax(Vreg vd, Vreg va, Vreg vb);
-  void vmin(Vreg vd, Vreg va, Vreg vb);
+  VLACNN_DEFINE_BINOP(vadd, a[l] + b[l])
+  VLACNN_DEFINE_BINOP(vsub, a[l] - b[l])
+  VLACNN_DEFINE_BINOP(vmul, a[l] * b[l])
+  VLACNN_DEFINE_BINOP(vdiv, a[l] / b[l])
+  VLACNN_DEFINE_BINOP(vmax, std::max(a[l], b[l]))
+  VLACNN_DEFINE_BINOP(vmin, std::min(a[l], b[l]))
+#undef VLACNN_DEFINE_BINOP
+
   /// vacc[i] += va[i] * vb[i]   (vfmacc.vv)
-  void vfma(Vreg vacc, Vreg va, Vreg vb);
+  void vfma(Vreg vacc, Vreg va, Vreg vb) {
+    check_vreg(vacc);
+    check_vreg(va);
+    check_vreg(vb);
+    float* acc = reg(vacc);
+    const float* a = reg(va);
+    const float* b = reg(vb);
+    const std::size_t n = gvl_;
+    for (std::size_t l = 0; l < n; ++l) acc[l] += a[l] * b[l];
+    if (ctx_ != nullptr)
+      ctx_->timing().vop(sim::VopClass::Fma, vacc, {vacc, va, vb}, n);
+  }
   /// vacc[i] += a * vb[i]       (vfmacc.vf — vector-scalar FMA; the compiler
   /// pattern the paper relies on to avoid explicit broadcasts)
-  void vfma_scalar(Vreg vacc, float a, Vreg vb);
-  void vadd_scalar(Vreg vd, Vreg va, float b);
-  void vmul_scalar(Vreg vd, Vreg va, float b);
-  void vmax_scalar(Vreg vd, Vreg va, float b);
+  void vfma_scalar(Vreg vacc, float a, Vreg vb) {
+    check_vreg(vacc);
+    check_vreg(vb);
+    float* acc = reg(vacc);
+    const float* b = reg(vb);
+    const std::size_t n = gvl_;
+    for (std::size_t l = 0; l < n; ++l) acc[l] += a * b[l];
+    if (ctx_ != nullptr)
+      ctx_->timing().vop(sim::VopClass::Fma, vacc, {vacc, vb}, n);
+  }
+
+#define VLACNN_DEFINE_SCALAR_OP(NAME, EXPR)                        \
+  void NAME(Vreg vd, Vreg va, float b) {                           \
+    check_vreg(vd);                                                \
+    check_vreg(va);                                                \
+    float* d = reg(vd);                                            \
+    const float* a = reg(va);                                      \
+    const std::size_t n = gvl_;                                    \
+    for (std::size_t l = 0; l < n; ++l) d[l] = (EXPR);             \
+    if (ctx_ != nullptr)                                           \
+      ctx_->timing().vop(sim::VopClass::Arith, vd, {va}, n);       \
+  }
+
+  /// vd[i] = a[i] + b, etc. All use gvl() elements.
+  VLACNN_DEFINE_SCALAR_OP(vadd_scalar, a[l] + b)
+  VLACNN_DEFINE_SCALAR_OP(vmul_scalar, a[l] * b)
+  VLACNN_DEFINE_SCALAR_OP(vmax_scalar, std::max(a[l], b))
+#undef VLACNN_DEFINE_SCALAR_OP
+
   /// Predicated FMA (SVE): only active lanes update.
   void vfma_pred(Vreg vacc, Preg p, Vreg va, Vreg vb);
   void vfma_scalar_pred(Vreg vacc, Preg p, float a, Vreg vb);
@@ -126,9 +211,14 @@ class VectorEngine {
 
   /// Charges `n` scalar bookkeeping operations (loop control, address
   /// arithmetic) to the scalar pipe. No functional effect.
-  void scalar_ops(std::uint64_t n);
+  void scalar_ops(std::uint64_t n) {
+    if (ctx_ != nullptr) ctx_->timing().scalar(n);
+  }
   /// Charges a scalar load/store of `bytes` at `addr`.
-  void scalar_mem(const void* addr, std::size_t bytes, bool write);
+  void scalar_mem(const void* addr, std::size_t bytes, bool write) {
+    count_mem(bytes, write);
+    if (ctx_ != nullptr) note_scalar_mem(addr, bytes, write);
+  }
 
   // ---------------- traffic accounting ----------------
 
@@ -150,10 +240,19 @@ class VectorEngine {
   void set_lane(Vreg v, std::size_t i, float x);
 
  private:
-  float* reg(Vreg v);
-  const float* reg(Vreg v) const;
-  void check_vreg(Vreg v) const;
+  float* reg(Vreg v) {
+    return regfile_.data() + static_cast<std::size_t>(v) * vlmax();
+  }
+  const float* reg(Vreg v) const {
+    return regfile_.data() + static_cast<std::size_t>(v) * vlmax();
+  }
+  void check_vreg(Vreg v) const {
+    VLACNN_REQUIRE(v >= 0 && v < static_cast<int>(kNumVregs),
+                   "vector register out of range");
+  }
   void check_preg(Preg p) const;
+
+  // Instrumentation hooks: called only with a context attached.
   void note_vop(sim::VopClass cls, int dst, std::initializer_list<int> srcs,
                 std::size_t elements);
   void note_vmem(sim::VopClass cls, int dst, std::initializer_list<int> srcs,
@@ -162,6 +261,7 @@ class VectorEngine {
   void note_vmem_strided(sim::VopClass cls, int dst, const void* base,
                          std::ptrdiff_t stride_bytes, std::size_t n,
                          bool write);
+  void note_scalar_mem(const void* addr, std::size_t bytes, bool write);
 
   /// Counts `bytes` toward the functional traffic totals.
   void count_mem(std::size_t bytes, bool write) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
 #include <vector>
 
@@ -250,9 +251,17 @@ TEST_P(VectorEngineTest, PermuteAndZip) {
 
 TEST_P(VectorEngineTest, RegisterBoundsChecked) {
   VectorEngine eng = make();
+  std::vector<float> buf(eng.vlmax(), 1.0f);
   EXPECT_THROW(eng.vbroadcast(32, 0.0f), InvalidArgument);
   EXPECT_THROW(eng.vbroadcast(-1, 0.0f), InvalidArgument);
   EXPECT_THROW(eng.whilelt(16, 0, 1), InvalidArgument);
+  // The inline hot ops keep their register checks.
+  EXPECT_THROW(eng.vload(32, buf.data()), InvalidArgument);
+  EXPECT_THROW(eng.vstore(32, buf.data()), InvalidArgument);
+  EXPECT_THROW(eng.vfma_scalar(32, 1.0f, 0), InvalidArgument);
+  EXPECT_THROW(eng.vfma_scalar(0, 1.0f, 32), InvalidArgument);
+  EXPECT_THROW(eng.vadd(-1, 0, 1), InvalidArgument);
+  EXPECT_EQ(buf, std::vector<float>(eng.vlmax(), 1.0f));
 }
 
 INSTANTIATE_TEST_SUITE_P(VectorLengths, VectorEngineTest,
@@ -266,6 +275,29 @@ TEST(VectorEngineEdge, RejectsBadVectorLengths) {
   EXPECT_THROW(VectorEngine(100), InvalidArgument);
   EXPECT_THROW(VectorEngine(64), InvalidArgument);
   EXPECT_THROW(VectorEngine(1 << 20), InvalidArgument);
+}
+
+TEST(VectorEngineEdge, FmaRoundsProductAndSumSeparately) {
+  // vfma / vfma_scalar model `acc += a * b` with two roundings, never a
+  // fused multiply-add: the fp32 bit-identity contracts rely on every
+  // kernel translation unit computing the same value. With a = b = 1+2^-12
+  // the exact product 1 + 2^-11 + 2^-24 rounds (ties to even) to 1 + 2^-11,
+  // so c + a*b is 0 while fmaf keeps the 2^-24 residue.
+  const float a = 1.0f + std::ldexp(1.0f, -12);
+  const float c = -(1.0f + std::ldexp(1.0f, -11));
+  ASSERT_EQ(std::fmaf(a, a, c), std::ldexp(1.0f, -24));
+  VectorEngine eng(512);
+  eng.setvl(eng.vlmax());
+  eng.vbroadcast(1, a);
+  eng.vbroadcast(2, a);
+  eng.vbroadcast(3, c);
+  eng.vfma_scalar(3, a, 1);
+  eng.vbroadcast(4, c);
+  eng.vfma(4, 1, 2);
+  for (std::size_t l = 0; l < eng.vlmax(); ++l) {
+    EXPECT_EQ(eng.lane(3, l), 0.0f) << "vfma_scalar lane " << l;
+    EXPECT_EQ(eng.lane(4, l), 0.0f) << "vfma lane " << l;
+  }
 }
 
 TEST(VectorEngineEdge, TailResidueClassesRoundTrip) {

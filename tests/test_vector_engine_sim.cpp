@@ -16,15 +16,37 @@ namespace {
 using test::random_vec;
 
 TEST(EngineSim, NumericsIdenticalWithAndWithoutSim) {
+  // Drives every header-inline hot op (tail setvl, load/store, broadcast,
+  // the FMAs, the binops and *_scalar ops, scalar_mem) on a plain and an
+  // instrumented engine: outputs and the functional traffic counters
+  // (what vla.engine_mb_per_image reports) must not depend on the context.
   auto src = random_vec(1000, 1);
+  auto src2 = random_vec(1000, 2, 0.5f, 2.0f);
   auto run = [&](VectorEngine& eng) {
-    std::vector<float> out(src.size(), 0.0f);
+    std::vector<float> out(4 * src.size(), 0.0f);
     for (std::size_t i = 0; i < src.size();) {
-      const std::size_t vl = eng.setvl(src.size() - i);
+      const std::size_t vl = eng.setvl(src.size() - i);  // 1000 % 16: tail
       eng.vload(0, src.data() + i);
+      eng.vload(5, src2.data() + i);
       eng.vmul_scalar(1, 0, 3.0f);
       eng.vfma_scalar(1, -1.0f, 0);
+      eng.vbroadcast(2, 0.25f);
+      eng.vfma(2, 0, 1);
+      eng.vadd_scalar(3, 2, 1.0f);
+      eng.vmax_scalar(3, 3, 0.5f);
+      eng.vadd(4, 1, 3);
+      eng.vsub(4, 4, 0);
+      eng.vmul(4, 4, 2);
+      eng.vdiv(6, 4, 5);
+      eng.vmax(7, 6, 0);
+      eng.vmin(8, 6, 0);
       eng.vstore(1, out.data() + i);
+      eng.vstore(6, out.data() + src.size() + i);
+      eng.vstore(7, out.data() + 2 * src.size() + i);
+      eng.vstore(8, out.data() + 3 * src.size() + i);
+      eng.scalar_ops(3);
+      eng.scalar_mem(src.data() + i, sizeof(float), false);
+      eng.scalar_mem(out.data() + i, sizeof(float), true);
       i += vl;
     }
     return out;
@@ -33,6 +55,10 @@ TEST(EngineSim, NumericsIdenticalWithAndWithoutSim) {
   sim::SimContext ctx(sim::rvv_gem5());
   VectorEngine instrumented(ctx);
   EXPECT_EQ(run(plain), run(instrumented));
+  EXPECT_GT(ctx.cycles(), 0u);
+  EXPECT_GT(plain.mem_bytes_read(), 0u);
+  EXPECT_EQ(plain.mem_bytes_read(), instrumented.mem_bytes_read());
+  EXPECT_EQ(plain.mem_bytes_written(), instrumented.mem_bytes_written());
 }
 
 TEST(EngineSim, EngineTakesVlenFromMachine) {
