@@ -1,15 +1,11 @@
 #pragma once
 
-// Shared harness utilities for the paper-reproduction benchmarks.
-//
-// Workload scaling: the paper simulates Darknet at a 608x608 network input
-// on gem5, which takes hours per data point. These harnesses default to a
-// reduced input resolution (96x96, --input=N to change). Crucially, the
-// GEMM K dimension (channels x kernel area) and the vector-length-dependent
-// working sets (K x VL strips) are *independent of resolution*, so the
-// VL/cache-capacity interactions of Tables II/III and Figs 6-10 are
-// preserved; only absolute cycle counts shrink. EXPERIMENTS.md records the
-// mapping and the paper-vs-measured comparison for every experiment.
+// Shared harness utilities of the benchmarks: the common CLI options, the
+// run header, the `--machine` presets and the weight-DRAM-bytes/item metric
+// of bench_fused_conv and bench_weight_reuse; including it also brings in
+// BenchJson for the serving benches. bench_paper reproduces the paper's
+// figures at a reduced input resolution (96x96, --input=N; paper 608x608);
+// EXPERIMENTS.md records that scale mapping and every paper claim's result.
 
 #include <cstdio>
 #include <string>
@@ -19,9 +15,7 @@
 #include "common/bench_json.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
-#include "core/codesign.hpp"
 #include "core/conv_engine.hpp"
-#include "core/roofline.hpp"
 #include "dnn/layers.hpp"
 #include "dnn/models.hpp"
 #include "sim/address_map.hpp"
@@ -49,9 +43,6 @@ struct BenchOptions {
   }
 };
 
-// BenchJson moved to common/bench_json.hpp (serving examples emit the same
-// records); included above so every bench keeps using bench::BenchJson.
-
 inline void print_header(const std::string& title, const std::string& paper_ref,
                          const BenchOptions& o) {
   std::printf("== %s ==\n", title.c_str());
@@ -59,15 +50,6 @@ inline void print_header(const std::string& title, const std::string& paper_ref,
   std::printf("workload scale: input %dx%d (paper: 608x608); see EXPERIMENTS.md\n\n",
               o.input_hw, o.input_hw);
   std::fflush(stdout);
-}
-
-/// Cycle count formatted in units of 1e6 for readability.
-inline std::string mcycles(std::uint64_t c) {
-  return Table::fmt(static_cast<double>(c) / 1e6, 1);
-}
-
-inline std::string ratio(std::uint64_t base, std::uint64_t v) {
-  return Table::fmt(static_cast<double>(base) / static_cast<double>(v), 2) + "x";
 }
 
 /// `--machine=sve|rvv|a64fx` → MachineConfig (default: gem5's SVE model).
@@ -140,23 +122,6 @@ inline double weight_dram_bytes_per_item(
     for (int b = 0; b < batch; ++b) layer.forward_item(ctx, ins, b);
   return static_cast<double>(sctx.memory().watched_dram_line_fills()) *
          machine.l2.line_bytes / batch;
-}
-
-/// EnginePolicy convenience overload (the historical signature).
-inline double weight_dram_bytes_per_item(
-    dnn::Layer& layer, const float* weights, std::uint64_t weight_bytes,
-    const dnn::ConvDesc* conv_desc, const core::EnginePolicy& policy,
-    const sim::MachineConfig& machine, const dnn::Tensor& input) {
-  return weight_dram_bytes_per_item(layer, weights, weight_bytes, conv_desc,
-                                    core::BackendPlan::uniform(policy),
-                                    policy.weight_resident, machine, input);
-}
-
-/// The paper's L2 sweep points (Figs 7-10).
-inline std::vector<std::uint64_t> l2_sweep_bytes(bool quick) {
-  if (quick)
-    return {1ull << 20, 8ull << 20};
-  return {1ull << 20, 8ull << 20, 64ull << 20, 256ull << 20};
 }
 
 }  // namespace vlacnn::bench

@@ -137,7 +137,8 @@ double case_weight_dram_per_item(const LayerCase& lc,
   return bench::weight_dram_bytes_per_item(
       layer, layer.weights(),
       static_cast<std::uint64_t>(lc.desc.weight_count()) * sizeof(float),
-      &lc.desc, policy, machine, in);
+      &lc.desc, core::BackendPlan::uniform(policy), policy.weight_resident,
+      machine, in);
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 #include "common/cli.hpp"
 
+#include <cerrno>
 #include <cstdlib>
+
+#include "common/error.hpp"
 
 namespace vlacnn {
 
@@ -29,15 +32,41 @@ std::string CliArgs::get(const std::string& key,
   return it == kv_.end() ? fallback : it->second;
 }
 
+namespace {
+
+/// Parses all of `value` with `parse` (strtoll/strtod-like); throws
+/// InvalidArgument naming `--key` on an empty value, trailing characters
+/// or an out-of-range number.
+template <typename Parse>
+auto parse_number(const std::string& key, const std::string& value,
+                  const char* kind, Parse parse) {
+  const char* begin = value.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const auto v = parse(begin, &end);
+  if (value.empty() || end != begin + value.size() || errno == ERANGE)
+    throw InvalidArgument("--" + key + "=" + value + ": expected " + kind);
+  return v;
+}
+
+}  // namespace
+
 std::int64_t CliArgs::get_int(const std::string& key,
                               std::int64_t fallback) const {
   const auto it = kv_.find(key);
-  return it == kv_.end() ? fallback : std::strtoll(it->second.c_str(), nullptr, 10);
+  if (it == kv_.end()) return fallback;
+  return parse_number(key, it->second, "an integer",
+                      [](const char* s, char** e) {
+                        return static_cast<std::int64_t>(
+                            std::strtoll(s, e, 10));
+                      });
 }
 
 double CliArgs::get_double(const std::string& key, double fallback) const {
   const auto it = kv_.find(key);
-  return it == kv_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+  if (it == kv_.end()) return fallback;
+  return parse_number(key, it->second, "a number",
+                      [](const char* s, char** e) { return std::strtod(s, e); });
 }
 
 bool CliArgs::get_bool(const std::string& key, bool fallback) const {

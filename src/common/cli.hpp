@@ -8,8 +8,9 @@
 namespace vlacnn {
 
 /// Tiny `--key=value` / `--flag` command-line parser shared by the benchmark
-/// harnesses and examples. Unknown keys are collected so callers can reject
-/// or ignore them explicitly.
+/// harnesses and examples. Keys a caller never asks for are ignored.
+/// get_int/get_double throw InvalidArgument naming the flag when its value
+/// is not entirely a number (`--input=abc`, `--input=96x`).
 class CliArgs {
  public:
   CliArgs(int argc, char** argv);

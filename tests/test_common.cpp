@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/aligned_buffer.hpp"
 #include "common/cli.hpp"
+#include "common/error.hpp"
 #include "common/percentile.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
@@ -156,6 +158,25 @@ TEST(Cli, ParsesKeyValueAndFlags) {
   EXPECT_EQ(args.get("missing", "dflt"), "dflt");
   ASSERT_EQ(args.positional().size(), 1u);
   EXPECT_EQ(args.positional()[0], "pos1");
+}
+
+TEST(Cli, RejectsMalformedNumbers) {
+  const char* argv[] = {"prog",       "--input=abc", "--hw=96x", "--empty=",
+                        "--rate=0.5s", "--flag",     "--big=99999999999999999999",
+                        "--neg=-3",   "--sci=1e-3"};
+  CliArgs args(9, const_cast<char**>(argv));
+  for (const char* key : {"input", "hw", "empty", "flag", "big"}) {
+    EXPECT_THROW((void)args.get_int(key, 0), InvalidArgument) << key;
+  }
+  EXPECT_THROW((void)args.get_double("rate", 0.0), InvalidArgument);
+  try {
+    (void)args.get_int("hw", 0);
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("--hw=96x"), std::string::npos);
+  }
+  EXPECT_EQ(args.get_int("neg", 0), -3);
+  EXPECT_DOUBLE_EQ(args.get_double("sci", 0.0), 1e-3);
+  EXPECT_EQ(args.get_int("missing", 7), 7);
 }
 
 }  // namespace
