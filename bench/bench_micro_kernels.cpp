@@ -1,7 +1,8 @@
 // Native-speed micro-benchmarks (google-benchmark): host wall-clock cost of
 // the functional kernels themselves — GEMM variants, im2col, Winograd
 // transforms and full Winograd convolution. These measure the library's
-// own efficiency (no simulator attached), complementing the simulated
+// own efficiency (no simulator attached, except BM_SimGemmNarrowN, which
+// prices the simulator's per-op cost), complementing the simulated
 // paper-reproduction harnesses.
 
 #include <benchmark/benchmark.h>
@@ -11,6 +12,9 @@
 #include "common/rng.hpp"
 #include "dnn/im2col.hpp"
 #include "gemm/gemm.hpp"
+#include "sim/address_map.hpp"
+#include "sim/machine_config.hpp"
+#include "sim/sim_context.hpp"
 #include "winograd/f6x3.hpp"
 #include "winograd/winograd_conv.hpp"
 
@@ -87,6 +91,37 @@ void BM_GemmNarrowN(benchmark::State& state) {
 BENCHMARK(BM_GemmNarrowN<gemm::GemmVariant::Opt3Loop>)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GemmNarrowN<gemm::GemmVariant::Opt6Loop>)
+    ->Unit(benchmark::kMillisecond);
+
+// The same shape with an RVV gem5 512-bit SimContext attached: every engine
+// op also drives the timing model, the address map and the cache hierarchy,
+// so items_per_second inverts to host ns per simulated vector op — the
+// number a simulator hot-path change should move. The operands are
+// registered with the address map, as a network's tensors are.
+template <gemm::GemmVariant V>
+void BM_SimGemmNarrowN(benchmark::State& state) {
+  constexpr int m = 1024, k = 4608, n = 9;
+  auto a = rand_vec(static_cast<std::size_t>(m) * k, 1);
+  auto b = rand_vec(static_cast<std::size_t>(k) * n, 2);
+  std::vector<float> c(static_cast<std::size_t>(m) * n, 0.0f);
+  const sim::RegisteredRange a_reg(a.data(), a.size() * sizeof(float));
+  const sim::RegisteredRange b_reg(b.data(), b.size() * sizeof(float));
+  const sim::RegisteredRange c_reg(c.data(), c.size() * sizeof(float));
+  sim::SimContext sctx(sim::rvv_gem5().with_vlen(512));
+  vla::VectorEngine eng(sctx);
+  auto fn = gemm::make_gemm_fn(V);
+  const auto strips =
+      static_cast<std::int64_t>((n + eng.vlmax() - 1) / eng.vlmax());
+  for (auto _ : state) {
+    fn(eng, m, n, k, 1.0f, a.data(), k, b.data(), n, c.data(), n);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * m * k * strips);
+}
+BENCHMARK(BM_SimGemmNarrowN<gemm::GemmVariant::Opt3Loop>)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimGemmNarrowN<gemm::GemmVariant::Opt6Loop>)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Im2col(benchmark::State& state) {

@@ -655,6 +655,13 @@ void run_figure(const Figure& f, const bench::BenchOptions& o,
 int main(int argc, char** argv) {
   try {
     const CliArgs args(argc, argv);
+    if (args.has("json")) {
+      // BenchOptions parses --json for the benches that write records; this
+      // harness writes none, so the flag would silently do nothing.
+      std::fprintf(stderr, "bench_paper: --json is not supported (the "
+                           "harness prints its tables and writes no JSON)\n");
+      return 1;
+    }
     const auto opt = bench::BenchOptions::from_cli(argc, argv);
     const std::string only = args.get("figure", "");
     const std::vector<Figure> figs = figures(opt);

@@ -1,5 +1,6 @@
 #include "sim/cache.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/error.hpp"
@@ -10,92 +11,64 @@ namespace {
 bool is_pow2(std::uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
 }  // namespace
 
-CacheModel::CacheModel(const CacheConfig& cfg) : cfg_(cfg) {
+CacheModel::CacheModel(const CacheConfig& cfg)
+    : cfg_(cfg), assoc_(cfg.associativity) {
   VLACNN_REQUIRE(is_pow2(cfg.line_bytes), "cache line size must be pow2");
+  // A line of >= 2 bytes keeps line numbers below 2^63, so tag_of() never
+  // wraps to kInvalidTag.
+  VLACNN_REQUIRE(cfg.line_bytes >= 2, "cache line must be at least 2 bytes");
   VLACNN_REQUIRE(cfg.associativity >= 1, "associativity must be >= 1");
   VLACNN_REQUIRE(cfg.size_bytes % (static_cast<std::uint64_t>(cfg.associativity) *
                                    cfg.line_bytes) == 0,
                  "cache size must be a multiple of assoc*line");
-  num_sets_ = cfg.num_sets();
-  VLACNN_REQUIRE(is_pow2(num_sets_), "number of sets must be pow2");
+  const std::uint64_t num_sets = cfg.num_sets();
+  VLACNN_REQUIRE(is_pow2(num_sets), "number of sets must be pow2");
+  set_mask_ = num_sets - 1;
   line_shift_ = static_cast<unsigned>(std::countr_zero(
       static_cast<std::uint64_t>(cfg.line_bytes)));
-  lines_.assign(num_sets_ * cfg.associativity, Line{});
+  lines_ = num_sets * cfg.associativity;
+  reset();
 }
 
-std::uint64_t CacheModel::set_index(std::uint64_t addr) const {
-  return (addr >> line_shift_) & (num_sets_ - 1);
-}
-
-std::uint64_t CacheModel::tag_of(std::uint64_t addr) const {
-  return addr >> line_shift_;  // store the full line number as the tag
-}
-
-int CacheModel::find_way(std::uint64_t set, std::uint64_t tag) const {
-  const Line* base = &lines_[set * cfg_.associativity];
-  for (unsigned w = 0; w < cfg_.associativity; ++w)
-    if (base[w].valid && base[w].tag == tag) return static_cast<int>(w);
-  return -1;
-}
-
-int CacheModel::victim_way(std::uint64_t set) const {
-  const Line* base = &lines_[set * cfg_.associativity];
-  int victim = 0;
-  std::uint64_t oldest = UINT64_MAX;
-  for (unsigned w = 0; w < cfg_.associativity; ++w) {
-    if (!base[w].valid) return static_cast<int>(w);
-    if (base[w].lru_stamp < oldest) {
-      oldest = base[w].lru_stamp;
-      victim = static_cast<int>(w);
-    }
+void CacheModel::fill(std::size_t base, std::uint64_t tag, bool dirty) {
+  // Victim: the first invalid way; once the whole cache is valid (lines are
+  // never invalidated short of reset()), the least recently used way.
+  std::size_t i = base + assoc_;
+  if (valid_lines_ < lines_) {
+    const std::uint64_t* tags = tags_.data() + base;
+    i = base + static_cast<std::size_t>(
+                   std::find(tags, tags + assoc_, kInvalidTag) - tags);
   }
-  return victim;
-}
-
-AccessResult CacheModel::access(std::uint64_t addr, bool is_write) {
-  ++stats_.accesses;
-  const std::uint64_t set = set_index(addr);
-  const std::uint64_t tag = tag_of(addr);
-  Line* base = &lines_[set * cfg_.associativity];
-
-  int way = find_way(set, tag);
-  if (way >= 0) {
-    base[way].lru_stamp = ++stamp_;
-    base[way].dirty = base[way].dirty || is_write;
-    return AccessResult::Hit;
-  }
-
-  ++stats_.misses;
-  way = victim_way(set);
-  if (base[way].valid) {
+  if (i == base + assoc_) {
+    const std::uint64_t* stamps = stamps_.data() + base;
+    i = base + static_cast<std::size_t>(
+                   std::min_element(stamps, stamps + assoc_) - stamps);
     ++stats_.evictions;
-    if (base[way].dirty) ++stats_.writebacks;
+    if (dirty_[i] != 0) ++stats_.writebacks;
+  } else {
+    ++valid_lines_;
   }
-  base[way] = Line{tag, true, is_write, ++stamp_};
-  return AccessResult::Miss;
+  tags_[i] = tag;
+  stamps_[i] = ++stamp_;
+  dirty_[i] = static_cast<std::uint8_t>(dirty);
 }
 
 bool CacheModel::prefetch_fill(std::uint64_t addr) {
-  const std::uint64_t set = set_index(addr);
   const std::uint64_t tag = tag_of(addr);
-  Line* base = &lines_[set * cfg_.associativity];
-  if (find_way(set, tag) >= 0) return false;
-  const int way = victim_way(set);
-  if (base[way].valid) {
-    ++stats_.evictions;
-    if (base[way].dirty) ++stats_.writebacks;
-  }
-  base[way] = Line{tag, true, false, ++stamp_};
+  const std::size_t base = set_base(tag);
+  if (find_way(base, tag) >= 0) return false;
+  fill(base, tag, false);
   ++stats_.prefetch_fills;
   return true;
 }
 
-bool CacheModel::contains(std::uint64_t addr) const {
-  return find_way(set_index(addr), tag_of(addr)) >= 0;
-}
-
 void CacheModel::reset() {
-  for (auto& l : lines_) l = Line{};
+  // Fresh zeroed pages rather than a fill: the pages a run touched go back
+  // to the host instead of being rewritten.
+  tags_ = PageArray<std::uint64_t>(lines_);
+  stamps_ = PageArray<std::uint64_t>(lines_);
+  dirty_ = PageArray<std::uint8_t>(lines_);
+  valid_lines_ = 0;
   stamp_ = 0;
   stats_.reset();
 }

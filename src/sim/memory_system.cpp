@@ -1,5 +1,7 @@
 #include "sim/memory_system.hpp"
 
+#include <bit>
+
 #include "common/error.hpp"
 
 namespace vlacnn::sim {
@@ -17,7 +19,11 @@ CacheConfig vector_cache_config(const MachineConfig& cfg) {
 }  // namespace
 
 MemorySystem::MemorySystem(const MachineConfig& cfg)
-    : cfg_(cfg), l1_(cfg.l1), l2_(cfg.l2) {
+    : cfg_(cfg),
+      l1_(cfg.l1),
+      l2_(cfg.l2),
+      l1_line_shift_(static_cast<unsigned>(std::countr_zero(cfg.l1.line_bytes))),
+      l2_line_shift_(static_cast<unsigned>(std::countr_zero(cfg.l2.line_bytes))) {
   if (cfg.isa == Isa::RiscvVector && cfg.vector_cache_bytes > 0)
     vcache_ = std::make_unique<CacheModel>(vector_cache_config(cfg));
   if (cfg.hw_prefetch)
@@ -25,7 +31,6 @@ MemorySystem::MemorySystem(const MachineConfig& cfg)
 }
 
 std::uint64_t MemorySystem::tlb_lookup(std::uint64_t addr) {
-  if (cfg_.tlb_entries == 0) return 0;
   const std::uint64_t page = addr >> 12;
   ++tlb_tick_;
   for (auto& entry : tlb_) {
@@ -111,12 +116,12 @@ MemCost MemorySystem::touch_vector_line(std::uint64_t addr, bool write) {
 MemCost MemorySystem::vector_access(std::uint64_t addr, std::uint64_t bytes,
                                     bool write) {
   VLACNN_REQUIRE(bytes > 0, "zero-byte access");
-  const unsigned line = vcache_ ? cfg_.l2.line_bytes : cfg_.l1.line_bytes;
-  const std::uint64_t first = addr / line;
-  const std::uint64_t last = (addr + bytes - 1) / line;
+  const unsigned shift = vcache_ ? l2_line_shift_ : l1_line_shift_;
+  const std::uint64_t first = addr >> shift;
+  const std::uint64_t last = (addr + bytes - 1) >> shift;
   MemCost total;
   for (std::uint64_t ln = first; ln <= last; ++ln)
-    total += touch_vector_line(ln * line, write);
+    total += touch_vector_line(ln << shift, write);
   // Contiguous lines stream out of the entry-level cache at one line per
   // cycle after the first; the per-line entry latencies accumulated above
   // over-count that pipelining, so rebase the serial part.
@@ -124,8 +129,10 @@ MemCost MemorySystem::vector_access(std::uint64_t addr, std::uint64_t bytes,
                                      : cfg_.l1.latency_cycles;
   total.serial_cycles = entry_lat + (total.lines - 1);
   // Address translation: one lookup per page touched.
-  for (std::uint64_t page = addr >> 12; page <= (addr + bytes - 1) >> 12; ++page)
-    total.translation_cycles += tlb_lookup(page << 12);
+  if (cfg_.tlb_entries != 0)
+    for (std::uint64_t page = addr >> 12; page <= (addr + bytes - 1) >> 12;
+         ++page)
+      total.translation_cycles += tlb_lookup(page << 12);
   return total;
 }
 
@@ -143,7 +150,7 @@ MemCost MemorySystem::vector_access_strided(std::uint64_t base,
   std::uint64_t addr = base;
   for (std::uint64_t i = 0; i < n; ++i) {
     MemCost c = touch_vector_line(addr, write);
-    c.translation_cycles += tlb_lookup(addr);
+    if (cfg_.tlb_entries != 0) c.translation_cycles += tlb_lookup(addr);
     total += c;
     addr = static_cast<std::uint64_t>(static_cast<std::int64_t>(addr) + stride_bytes);
   }
@@ -156,15 +163,14 @@ MemCost MemorySystem::vector_access_strided(std::uint64_t base,
 
 MemCost MemorySystem::scalar_access(std::uint64_t addr, std::uint64_t bytes,
                                     bool write) {
-  const unsigned line = cfg_.l1.line_bytes;
-  const std::uint64_t first = addr / line;
-  const std::uint64_t last = (addr + bytes - 1) / line;
+  const std::uint64_t first = addr >> l1_line_shift_;
+  const std::uint64_t last = (addr + bytes - 1) >> l1_line_shift_;
   MemCost total;
   for (std::uint64_t ln = first; ln <= last; ++ln) {
-    std::uint64_t a = ln * line;
+    const std::uint64_t a = ln << l1_line_shift_;
     MemCost c;
     c.lines = 1;
-    c.translation_cycles = tlb_lookup(a);
+    if (cfg_.tlb_entries != 0) c.translation_cycles = tlb_lookup(a);
     if (prefetcher_) prefetcher_->observe(a, l1_);
     if (l1_.access(a, write) == AccessResult::Hit) {
       c.serial_cycles = cfg_.l1.latency_cycles;

@@ -90,8 +90,9 @@ class MemorySystem {
   }
 
  private:
-  /// Returns the page-walk penalty (0 on a TLB hit or when TLB modelling is
-  /// off). Fully associative LRU over 4 KiB pages.
+  /// Returns the page-walk penalty (0 on a TLB hit). Fully associative LRU
+  /// over 4 KiB pages. Callers skip it when TLB modelling is off
+  /// (`tlb_entries == 0`).
   std::uint64_t tlb_lookup(std::uint64_t addr);
   /// Cost of touching one line on the vector path.
   MemCost touch_vector_line(std::uint64_t addr, bool write);
@@ -101,6 +102,8 @@ class MemorySystem {
   MachineConfig cfg_;
   CacheModel l1_;
   CacheModel l2_;
+  unsigned l1_line_shift_;  // log2 line size (CacheModel checks pow2)
+  unsigned l2_line_shift_;
   std::unique_ptr<CacheModel> vcache_;          // RVV only
   std::unique_ptr<StreamPrefetcher> prefetcher_;  // A64FX only
   std::uint64_t dram_lines_ = 0;

@@ -7,15 +7,26 @@
 
 namespace vlacnn::sim {
 
-VectorTimingModel::VectorTimingModel(const MachineConfig& cfg) : cfg_(cfg) {
+VectorTimingModel::VectorTimingModel(const MachineConfig& cfg)
+    : cfg_(cfg),
+      lanes_(std::max(1u, cfg.effective_lanes())),
+      issue_width_(std::max(1u, cfg.issue_width)),
+      mlp_(std::max(1u, cfg.mem_level_parallelism)),
+      dispatch_(static_cast<std::uint64_t>(
+          std::llround(cfg.vector_dispatch_cycles))),
+      startup_(static_cast<std::uint64_t>(std::llround(
+          cfg.startup_base_cycles +
+          cfg.startup_per_lane * cfg.effective_lanes()))) {
   pipe_free_.assign(std::max(1u, cfg.vector_pipes), 0);
   inflight_.assign(std::max(1u, cfg.inflight_window), 0);
 }
 
 std::uint64_t VectorTimingModel::mem_exposed_cycles(const MemCost& cost) const {
-  const unsigned mlp = std::max(1u, cfg_.mem_level_parallelism);
+  // Nothing to overlap and nothing to stream: the rounded max below is 0.
+  if (cost.overlappable_cycles == 0 && cost.dram_lines == 0)
+    return cost.serial_cycles + cost.translation_cycles;
   const double overlapped =
-      static_cast<double>(cost.overlappable_cycles) / static_cast<double>(mlp);
+      static_cast<double>(cost.overlappable_cycles) / static_cast<double>(mlp_);
   // DRAM bandwidth floor: fills cannot stream faster than the pin bandwidth.
   const double bw_floor =
       static_cast<double>(cost.dram_lines) * cfg_.l2.line_bytes /
@@ -46,38 +57,39 @@ std::uint64_t VectorTimingModel::issue(int dst,
   // the decoupled-VPU dispatch overhead on their resource.
   const bool is_mem = cls == VopClass::Load || cls == VopClass::Store ||
                       cls == VopClass::Gather || cls == VopClass::Scatter;
-  const auto dispatch = static_cast<std::uint64_t>(
-      std::llround(cfg_.vector_dispatch_cycles));
   std::uint64_t start;
   if (is_mem) {
     start = std::max(ready, mem_port_free_);
   } else {
     auto pipe = std::min_element(pipe_free_.begin(), pipe_free_.end());
     start = std::max(ready, *pipe);
-    *pipe = start + occupancy + dispatch;
+    *pipe = start + occupancy + dispatch_;
   }
 
-  const std::uint64_t startup = static_cast<std::uint64_t>(std::llround(
-      cfg_.startup_base_cycles + cfg_.startup_per_lane * cfg_.effective_lanes()));
-  const std::uint64_t done = start + startup + occupancy + extra_latency;
+  const std::uint64_t done = start + startup_ + occupancy + extra_latency;
 
   if (is_mem) {
     // Pipelined cache port: busy for the transfer occupancy only; access
     // latency (serial/miss/translation) is charged to the instruction's
     // completion and overlaps with later independent memory instructions
     // (bounded by the in-flight window and the register scoreboard).
-    mem_port_free_ = start + occupancy + dispatch;
+    mem_port_free_ = start + occupancy + dispatch_;
   }
   if (dst >= 0) {
     VLACNN_ASSERT(static_cast<unsigned>(dst) < reg_ready_.size(), "bad dst reg");
     reg_ready_[static_cast<unsigned>(dst)] = done;
   }
   inflight_[inflight_pos_] = done;
-  inflight_pos_ = (inflight_pos_ + 1) % inflight_.size();
+  if (++inflight_pos_ == inflight_.size()) inflight_pos_ = 0;
 
-  issue_frac_ += 1.0 / std::max(1u, cfg_.issue_width);
-  const auto issue_adv = static_cast<std::uint64_t>(issue_frac_);
-  issue_frac_ -= static_cast<double>(issue_adv);
+  // Single issue advances a whole cycle per instruction (the fraction
+  // below would step 0 -> 1 -> 0 exactly); wider issue accumulates it.
+  std::uint64_t issue_adv = 1;
+  if (issue_width_ > 1) {
+    issue_frac_ += 1.0 / issue_width_;
+    issue_adv = static_cast<std::uint64_t>(issue_frac_);
+    issue_frac_ -= static_cast<double>(issue_adv);
+  }
   if (cfg_.core == CoreKind::InOrder) {
     // In-order issue: a stalled instruction blocks everything behind it.
     issue_cycle_ = std::max(issue_cycle_ + issue_adv, start);
@@ -104,8 +116,7 @@ std::uint64_t VectorTimingModel::issue(int dst,
 void VectorTimingModel::vop(VopClass cls, int dst,
                             std::initializer_list<int> srcs,
                             std::uint64_t elements) {
-  const unsigned lanes = std::max(1u, cfg_.effective_lanes());
-  std::uint64_t occupancy = (elements + lanes - 1) / lanes;
+  std::uint64_t occupancy = (elements + lanes_ - 1) / lanes_;
   if (cls == VopClass::Permute || cls == VopClass::Reduce)
     occupancy *= 2;  // cross-lane traffic halves throughput
   if (cls == VopClass::SetVl || cls == VopClass::Broadcast)
@@ -116,8 +127,7 @@ void VectorTimingModel::vop(VopClass cls, int dst,
 void VectorTimingModel::vmem(VopClass cls, int dst,
                              std::initializer_list<int> srcs,
                              std::uint64_t elements, const MemCost& cost) {
-  const unsigned lanes = std::max(1u, cfg_.effective_lanes());
-  std::uint64_t occupancy = (elements + lanes - 1) / lanes;
+  std::uint64_t occupancy = (elements + lanes_ - 1) / lanes_;
   if (cls == VopClass::Gather || cls == VopClass::Scatter)
     occupancy = std::max<std::uint64_t>(occupancy, elements);  // 1 elem/cycle
   const std::uint64_t stall = mem_exposed_cycles(cost);
@@ -130,8 +140,7 @@ void VectorTimingModel::scalar(std::uint64_t count) {
   // serialized into the issue stream, scaled by the core's issue width
   // (superscalar cores co-issue scalar bookkeeping with vector work).
   const auto cost = static_cast<std::uint64_t>(std::llround(
-      static_cast<double>(count) * cfg_.scalar_op_cycles /
-      std::max(1u, cfg_.issue_width)));
+      static_cast<double>(count) * cfg_.scalar_op_cycles / issue_width_));
   issue_cycle_ += cost;
   horizon_ = std::max(horizon_, issue_cycle_);
   stats_.scalar_ops += count;
@@ -144,7 +153,7 @@ void VectorTimingModel::scalar_mem(const MemCost& cost) {
   MemCost miss_only = cost;
   miss_only.serial_cycles = 0;
   const std::uint64_t stall =
-      cost.lines / std::max(1u, cfg_.issue_width) + mem_exposed_cycles(miss_only);
+      cost.lines / issue_width_ + mem_exposed_cycles(miss_only);
   stats_.mem_stall_cycles += stall;
   issue_cycle_ += stall;
   horizon_ = std::max(horizon_, issue_cycle_);

@@ -95,6 +95,13 @@ class VectorTimingModel {
   [[nodiscard]] std::uint64_t mem_exposed_cycles(const MemCost& cost) const;
 
   MachineConfig cfg_;
+  // Per-config constants, computed once in the constructor.
+  unsigned lanes_;                 // max(1, effective lanes)
+  unsigned issue_width_;           // max(1, issue_width)
+  unsigned mlp_;                   // max(1, mem_level_parallelism)
+  std::uint64_t dispatch_;         // rounded vector_dispatch_cycles
+  std::uint64_t startup_;          // rounded s0 + s1 * effective lanes
+
   std::uint64_t issue_cycle_ = 0;
   std::array<std::uint64_t, kNumVregs + kNumPregs> reg_ready_{};
   std::vector<std::uint64_t> pipe_free_;   // one per vector pipe

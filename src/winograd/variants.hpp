@@ -14,7 +14,7 @@ namespace vlacnn::winograd {
 /// trade-off: F(2x2,3x3) (4x4 tiles), F(4x4,3x3) (6x6 tiles) and
 /// F(6x6,3x3) (8x8 tiles) share one generic implementation, so the
 /// accuracy/arithmetic trade-off can be measured head-to-head
-/// (`bench_accuracy_tilesize`).
+/// (`bench_paper --figure=tilesize`).
 struct WinogradVariant {
   std::string name;
   int out_tile;   ///< m  (output tile edge)
