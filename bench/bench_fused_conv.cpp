@@ -143,14 +143,14 @@ double case_weight_dram_per_item(const LayerCase& lc,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
   auto opt = bench::BenchOptions::from_cli(argc, argv);
   if (!args.has("vgg-input")) opt.vgg_input_hw = 128;  // see header comment
   const std::string model = args.get("model", "vgg");
   const std::string machine_name = args.get("machine", "sve");
   const int reps = static_cast<int>(args.get_int("reps", opt.quick ? 1 : 3));
-  const sim::MachineConfig machine = bench::machine_from_name(machine_name);
+  const sim::MachineConfig machine = sim::machine_by_name(machine_name);
 
   bench::print_header(
       "Fused conv pipeline — implicit-GEMM packing + in-kernel epilogue",
@@ -284,4 +284,7 @@ int main(int argc, char** argv) {
   }
   if (!json.write()) return 1;
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

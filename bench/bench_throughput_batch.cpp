@@ -16,7 +16,8 @@
 //                            [--input=96] [--reps=3] [--max-threads=8]
 //                            [--quick] [--json=<path>]
 //
-// The default policy is opt6, the paper's best uniform GEMM (Fig. 3).
+// The default policy is opt6, the paper's best uniform GEMM (Fig. 3); an
+// unknown --policy exits 1.
 // --policy=fused runs the fused conv pipeline (implicit-GEMM packing +
 // in-kernel epilogue); --policy=plan runs the simulation-driven per-layer
 // BackendPlan (selected once on the a64fx machine config, then reused for
@@ -26,45 +27,16 @@
 // percentiles are over the per-rep batch wall times, so BENCH_*.json tracks
 // tail latency alongside throughput.
 
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "common/percentile.hpp"
-#include "core/selector.hpp"
 #include "runtime/batch_scheduler.hpp"
 
 using namespace vlacnn;
 
-namespace {
-
-double run_once(runtime::BatchScheduler& sched, dnn::Network& net,
-                const dnn::Tensor& input) {
-  const auto t0 = std::chrono::steady_clock::now();
-  sched.run(net, input);
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-}  // namespace
-
-namespace {
-
-core::BackendPlan plan_from_name(const std::string& name, dnn::Network& net) {
-  if (name == "plan") return core::select_per_layer(net, sim::a64fx());
-  if (name == "opt3")
-    return core::BackendPlan::uniform(core::EnginePolicy::opt3loop());
-  if (name == "winograd")
-    return core::BackendPlan::uniform(core::EnginePolicy::winograd());
-  if (name == "fused")
-    return core::BackendPlan::uniform(core::EnginePolicy::fused());
-  return core::BackendPlan::uniform(core::EnginePolicy::opt6loop());
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
   const std::string model = args.get("model", "tiny");
   const std::string policy_name = args.get("policy", "opt6");
@@ -86,7 +58,8 @@ int main(int argc, char** argv) {
   dnn::warn_if_input_resized(model, input_hw);
   std::unique_ptr<dnn::Network> net = dnn::build_model(model, input_hw);
   // Selected (or compiled) once; engines per row share the plan by value.
-  const core::BackendPlan plan = plan_from_name(policy_name, *net);
+  const core::BackendPlan plan =
+      bench::plan_from_flags(*net, sim::a64fx(), policy_name, "f32", 0.0);
   std::printf("model=%s policy=%s input=%d  hardware threads=%d\n",
               model.c_str(), policy_name.c_str(), input_hw,
               runtime::ThreadPool::hardware_threads());
@@ -109,14 +82,15 @@ int main(int argc, char** argv) {
       runtime::SchedulerConfig cfg;
       cfg.threads = threads;
       runtime::BatchScheduler sched(engine, cfg);
-      run_once(sched, *net, input);  // warm-up (allocations, weight caches)
+      // Warm-up (allocations, weight caches).
+      bench::batch_seconds(sched, *net, input);
       double best = 1e30;
       std::uint64_t run_bytes = 0;
       std::vector<double> lat_ms;  // per-rep batch latency -> tail tracking
       lat_ms.reserve(static_cast<std::size_t>(reps));
       for (int r = 0; r < reps; ++r) {
         const std::uint64_t bytes0 = sched.mem_bytes_moved();
-        const double sec = run_once(sched, *net, input);
+        const double sec = bench::batch_seconds(sched, *net, input);
         lat_ms.push_back(sec * 1e3);
         best = std::min(best, sec);
         run_bytes = sched.mem_bytes_moved() - bytes0;  // constant per run
@@ -135,6 +109,8 @@ int main(int argc, char** argv) {
                 {"lat_p99_ms", percentile(lat_ms, 0.99)}});
     }
   }
-  if (!json.write()) return 1;
-  return 0;
+  return json.write() ? 0 : 1;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -305,7 +305,7 @@ std::string mb(double bytes) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
   const auto opt = bench::BenchOptions::from_cli(argc, argv);
   const std::string machine_name = args.get("machine", "sve");
@@ -329,7 +329,7 @@ int main(int argc, char** argv) {
                  fmt_name.c_str());
     return 1;
   }
-  const sim::MachineConfig machine = bench::machine_from_name(machine_name);
+  const sim::MachineConfig machine = sim::machine_by_name(machine_name);
 
   bench::print_header(
       "Weight-resident batch-fused execution — per-item weight DRAM vs batch",
@@ -535,4 +535,7 @@ int main(int argc, char** argv) {
   }
   if (!ok) std::printf("warning: weight-reuse expectations not met\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

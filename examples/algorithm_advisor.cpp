@@ -60,7 +60,7 @@ void print_selector_stats(const core::SelectorStats& st, const char* label) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
   const std::string model = args.get("model", "yolov3");
   const int input = static_cast<int>(args.get_int("input", 64));
@@ -71,9 +71,7 @@ int main(int argc, char** argv) {
   const bool check = args.get_bool("check", false);
   const int batch = static_cast<int>(args.get_int("batch", 4));
 
-  sim::MachineConfig machine = sim::a64fx();
-  if (machine_name == "rvv") machine = sim::rvv_gem5();
-  if (machine_name == "sve") machine = sim::sve_gem5();
+  sim::MachineConfig machine = sim::machine_by_name(machine_name);
   if (vlen != 0) machine = machine.with_vlen(vlen);
 
   std::unique_ptr<dnn::Network> net;
@@ -190,4 +188,7 @@ int main(int argc, char** argv) {
               "§II-B/§VII-A)\n",
               fused, quant, sparse, wino, direct, g3, g6);
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -4,7 +4,7 @@
 // points, built from the same API as the paper-reproduction benches.
 //
 //   ./codesign_sweep [--model=yolov3|tiny|vgg16] [--input=64] [--layers=12]
-//                    [--machine=rvv|sve] [--winograd]
+//                    [--machine=rvv|sve|a64fx] [--winograd]
 
 #include <cstdio>
 #include <string>
@@ -17,7 +17,7 @@
 
 using namespace vlacnn;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
   const std::string model = args.get("model", "yolov3");
   const int input = static_cast<int>(args.get_int("input", 64));
@@ -25,11 +25,12 @@ int main(int argc, char** argv) {
   const std::string machine_name = args.get("machine", "rvv");
   const bool winograd = args.get_bool("winograd", false);
 
-  sim::MachineConfig base =
-      machine_name == "sve" ? sim::sve_gem5() : sim::rvv_gem5();
-  const std::vector<unsigned> vlens =
-      machine_name == "sve" ? std::vector<unsigned>{512, 1024, 2048}
-                            : std::vector<unsigned>{512, 2048, 8192};
+  const sim::MachineConfig base = sim::machine_by_name(machine_name);
+  // The sweep's VLs, cut at the machine's MVL (a64fx sweeps L2 only).
+  std::vector<unsigned> vlens = base.isa == sim::Isa::ArmSve
+                                    ? std::vector<unsigned>{512, 1024, 2048}
+                                    : std::vector<unsigned>{512, 2048, 8192};
+  std::erase_if(vlens, [&](unsigned vl) { return vl > base.max_vlen_bits; });
   const std::vector<std::uint64_t> l2s = {1ull << 20, 8ull << 20, 64ull << 20};
 
   auto build = [&]() -> std::unique_ptr<dnn::Network> {
@@ -68,4 +69,7 @@ int main(int argc, char** argv) {
   std::printf("\nbest design point: %s (%.1f Mcycles)\n", best_point.c_str(),
               static_cast<double>(best) / 1e6);
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -44,15 +44,13 @@ Outcome classify(const sim::MachineConfig& machine,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
   const int input = static_cast<int>(args.get_int("input", 64));
   const std::string machine_name = args.get("machine", "a64fx");
   const auto vlen = static_cast<unsigned>(args.get_int("vlen", 0));
 
-  sim::MachineConfig machine = sim::a64fx();
-  if (machine_name == "rvv") machine = sim::rvv_gem5();
-  if (machine_name == "sve") machine = sim::sve_gem5();
+  sim::MachineConfig machine = sim::machine_by_name(machine_name);
   if (vlen != 0) machine = machine.with_vlen(vlen);
 
   std::printf("VGG16 at %dx%d on %s\n\n", input, input, machine.name.c_str());
@@ -78,4 +76,7 @@ int main(int argc, char** argv) {
               static_cast<double>(gemm_run.cycles) /
                   static_cast<double>(wino_run.cycles));
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

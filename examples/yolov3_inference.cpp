@@ -18,16 +18,14 @@
 
 using namespace vlacnn;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
   const int input = static_cast<int>(args.get_int("input", 96));
   const int layers = static_cast<int>(args.get_int("layers", 24));
   const std::string machine_name = args.get("machine", "a64fx");
   const bool winograd = args.get_bool("winograd", false);
 
-  sim::MachineConfig machine = sim::a64fx();
-  if (machine_name == "rvv") machine = sim::rvv_gem5();
-  if (machine_name == "sve") machine = sim::sve_gem5();
+  const sim::MachineConfig machine = sim::machine_by_name(machine_name);
 
   auto net = dnn::build_yolov3(input, layers);
   std::printf("YOLOv3 (%d layers, %zu conv) at %dx%d on %s%s\n\n", layers,
@@ -59,4 +57,7 @@ int main(int argc, char** argv) {
   std::printf("L2 miss rate %.1f%%, avg VL %.0f bits\n",
               100.0 * r.l2_miss_rate, r.avg_vl_bits);
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -11,8 +11,7 @@ namespace vlacnn::bench {
 /// as BENCH_*.json): one `{bench, config, wall_ms, bytes_moved, ...}` object
 /// per measured configuration, written as a JSON array when a `--json=path`
 /// flag is given. With no path, add()/write() are no-ops, so harnesses can
-/// record unconditionally. Lives in common/ (not bench/) because serving
-/// examples emit the same records for CI artifacts.
+/// record unconditionally.
 class BenchJson {
  public:
   BenchJson(std::string bench, std::string path)

@@ -27,22 +27,19 @@ constexpr Backend kCandidates[] = {
   return b == Backend::Gemm6 || b == Backend::FusedGemm6;
 }
 
-/// Simulates one full conv layer (convolution + epilogue) routed through
-/// `backend` on `machine`, via the same compiled dispatch that will execute
-/// the plan at serving time, and returns the cycle count. Weights/BN
-/// parameters are deterministic per shape; the weight transform of the
-/// Winograd candidates — and, when `weight_resident` is set, the pack-once
-/// A-panel image of the GEMM candidates — stays host-side and uncharged,
-/// matching the paper's measurement protocol (§VII-A).
-std::uint64_t simulate_backend(Backend backend, const dnn::ConvDesc& d,
-                               const sim::MachineConfig& machine,
-                               const gemm::Opt6Config& o6,
-                               std::uint64_t input_seed,
-                               bool weight_resident, int sparsity_pm = 1000) {
+/// Runs one full conv layer (convolution + epilogue) on `ctx`, routed
+/// through `backend` by a one-entry plan — the same compiled dispatch that
+/// executes the plan at serving time — and returns the layer's output
+/// values. Weights/BN parameters and the input are deterministic per shape,
+/// so the cycle simulations and the functional accuracy runs see the same
+/// data. When `weight_resident` is set the pack-once weight image is built
+/// before the forward pass (host-side, uncharged on a simulated `ctx`).
+std::vector<float> run_one_layer(dnn::ExecContext& ctx, Backend backend,
+                                 const dnn::ConvDesc& d,
+                                 const gemm::Opt6Config& o6,
+                                 std::uint64_t input_seed,
+                                 bool weight_resident, int sparsity_pm) {
   const std::uint64_t key = conv_shape_key(d);
-  sim::SimContext sctx(machine);
-  vla::VectorEngine eng(sctx);
-  dnn::ExecContext ctx(eng);
   dnn::ConvLayer layer(d, key);
 
   BackendPlan bench;
@@ -61,7 +58,8 @@ std::uint64_t simulate_backend(Backend backend, const dnn::ConvDesc& d,
   Rng rng(input_seed ^ key);
   input.randomize(rng, -1.0f, 1.0f);
   layer.forward(ctx, {&input});
-  return sctx.cycles();
+  const dnn::Tensor& out = layer.output();
+  return {out.data(), out.data() + out.size()};
 }
 
 /// ULP distance between two fp32 values (lexicographic integer mapping, so
@@ -88,35 +86,15 @@ struct AccuracyStats {
 
 /// Functional (host-speed, vlen-512) run of the full layer through
 /// `backend` with a weight-resident plan, returning the output tensor's
-/// values. Deterministic weights/BN/input per shape — the same seeds the
-/// cycle simulations use.
+/// values.
 std::vector<float> run_functional(Backend backend, const dnn::ConvDesc& d,
                                   const gemm::Opt6Config& o6,
                                   std::uint64_t input_seed,
                                   int sparsity_pm = 1000) {
-  const std::uint64_t key = conv_shape_key(d);
   vla::VectorEngine eng(512);
   dnn::ExecContext ctx(eng);
-  dnn::ConvLayer layer(d, key);
-
-  BackendPlan bench;
-  bench.opt6 = o6;
-  bench.sparsity_pm = sparsity_pm;
-  PlanEntry entry;
-  entry.shape_key = key;
-  entry.backend = backend;
-  entry.weight_resident = true;
-  bench.entries.push_back(std::move(entry));
-  ConvolutionEngine engine(std::move(bench));
-  engine.install(ctx);
-  engine.prepare(d, layer.weights());
-
-  dnn::Tensor input(d.in_c, d.in_h, d.in_w);
-  Rng rng(input_seed ^ key);
-  input.randomize(rng, -1.0f, 1.0f);
-  layer.forward(ctx, {&input});
-  const dnn::Tensor& out = layer.output();
-  return {out.data(), out.data() + out.size()};
+  return run_one_layer(ctx, backend, d, o6, input_seed,
+                       /*weight_resident=*/true, sparsity_pm);
 }
 
 /// Compares a quantized/sparse backend's layer output against the fp32
@@ -163,13 +141,21 @@ AccuracyStats measure_quantized_accuracy(Backend qb, const dnn::ConvDesc& d,
 
 }  // namespace
 
+// The weight transform of the Winograd candidates — and, when
+// `weight_resident` is set, the pack-once A-panel image of the GEMM
+// candidates — stays host-side and uncharged, matching the paper's
+// measurement protocol (§VII-A).
 std::uint64_t simulate_backend_cycles(Backend backend, const dnn::ConvDesc& d,
                                       const sim::MachineConfig& machine,
                                       const gemm::Opt6Config& o6,
                                       std::uint64_t input_seed,
                                       bool weight_resident, int sparsity_pm) {
-  return simulate_backend(backend, d, machine, o6, input_seed,
-                          weight_resident, sparsity_pm);
+  sim::SimContext sctx(machine);
+  vla::VectorEngine eng(sctx);
+  dnn::ExecContext ctx(eng);
+  run_one_layer(ctx, backend, d, o6, input_seed, weight_resident,
+                sparsity_pm);
+  return sctx.cycles();
 }
 
 BackendPlan select_per_layer(dnn::Network& net,
@@ -247,12 +233,12 @@ BackendPlan select_per_layer(dnn::Network& net,
           if (analytic) {
             cycles = model->cycles(b, d, /*weight_resident=*/true, batch);
           } else {
-            const std::uint64_t warm =
-                simulate_backend(b, d, machine, plan.opt6, input_seed,
-                                 /*weight_resident=*/true);
-            const std::uint64_t cold =
-                simulate_backend(b, d, machine, plan.opt6, input_seed,
-                                 /*weight_resident=*/false);
+            const std::uint64_t warm = simulate_backend_cycles(
+                b, d, machine, plan.opt6, input_seed,
+                /*weight_resident=*/true);
+            const std::uint64_t cold = simulate_backend_cycles(
+                b, d, machine, plan.opt6, input_seed,
+                /*weight_resident=*/false);
             const std::uint64_t pack = cold > warm ? cold - warm : 0;
             if (b == Backend::FusedGemm6) fused_pack = pack;
             cycles = warm + pack / static_cast<std::uint64_t>(batch);
@@ -260,8 +246,9 @@ BackendPlan select_per_layer(dnn::Network& net,
         } else if (analytic) {
           cycles = model->cycles(b, d, /*weight_resident=*/false, 1);
         } else {
-          cycles = simulate_backend(b, d, machine, plan.opt6, input_seed,
-                                    /*weight_resident=*/false);
+          cycles = simulate_backend_cycles(b, d, machine, plan.opt6,
+                                           input_seed,
+                                           /*weight_resident=*/false);
         }
         e.candidates.emplace_back(b, cycles);
         if (cycles < best) {
@@ -296,8 +283,9 @@ BackendPlan select_per_layer(dnn::Network& net,
           const std::uint64_t cycles =
               analytic
                   ? model->cycles(qb, d, /*weight_resident=*/true, batch)
-                  : simulate_backend(qb, d, machine, plan.opt6, input_seed,
-                                     /*weight_resident=*/true) +
+                  : simulate_backend_cycles(qb, d, machine, plan.opt6,
+                                            input_seed,
+                                            /*weight_resident=*/true) +
                         fused_pack / static_cast<std::uint64_t>(batch);
           e.candidates.emplace_back(qb, cycles);
           if (cycles < best) {
@@ -331,8 +319,9 @@ BackendPlan select_per_layer(dnn::Network& net,
           const std::uint64_t cycles =
               analytic
                   ? model->cycles(sb, d, /*weight_resident=*/true, batch, pm)
-                  : simulate_backend(sb, d, machine, plan.opt6, input_seed,
-                                     /*weight_resident=*/true, pm) +
+                  : simulate_backend_cycles(sb, d, machine, plan.opt6,
+                                            input_seed,
+                                            /*weight_resident=*/true, pm) +
                         fused_pack / static_cast<std::uint64_t>(batch);
           e.candidates.emplace_back(sb, cycles);
           if (cycles < best) {

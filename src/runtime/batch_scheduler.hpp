@@ -17,7 +17,9 @@
 namespace vlacnn::runtime {
 
 struct SchedulerConfig {
-  /// Worker count; <= 0 selects the hardware concurrency.
+  /// Worker count; <= 0 selects the hardware concurrency. Above
+  /// ThreadPool::kMaxThreads the scheduler's constructor throws
+  /// InvalidArgument before any thread starts.
   int threads = 0;
   /// Hardware vector length of the per-worker functional engines.
   unsigned vlen_bits = 512;

@@ -1,6 +1,9 @@
 #include "runtime/thread_pool.hpp"
 
 #include <cstdlib>
+#include <string>
+
+#include "common/error.hpp"
 
 namespace vlacnn::runtime {
 
@@ -10,6 +13,9 @@ int ThreadPool::hardware_threads() {
 }
 
 ThreadPool::ThreadPool(int threads) {
+  VLACNN_REQUIRE(threads <= kMaxThreads,
+                 "thread count " + std::to_string(threads) + " exceeds " +
+                     std::to_string(kMaxThreads));
   const int n = threads <= 0 ? hardware_threads() : threads;
   workers_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)

@@ -21,7 +21,14 @@ class ThreadPool {
   /// runtime::WorkGraph).
   using Task = std::function<void(int worker)>;
 
-  /// `threads` <= 0 selects the hardware concurrency.
+  /// Ceiling of an explicit worker count: far above any core count this
+  /// runtime targets, low enough that a mistyped `--threads` cannot ask the
+  /// OS for an unbounded number of threads.
+  static constexpr int kMaxThreads = 1024;
+
+  /// `threads` <= 0 selects the hardware concurrency. Throws
+  /// InvalidArgument, before spawning any worker, when `threads` exceeds
+  /// kMaxThreads.
   explicit ThreadPool(int threads = 0);
   ~ThreadPool();
 

@@ -34,7 +34,7 @@ struct ReplannerConfig {
   std::size_t cooldown_batches = 8;
 };
 
-/// Monotonic counters of the re-planning loop, merged into Server::stats().
+/// Monotonic counters of the re-planning loop (ServerStats::replan).
 struct ReplanStats {
   std::uint64_t plans_recomputed = 0;  ///< analytic re-plans computed
   std::uint64_t swaps_applied = 0;     ///< plans actually installed

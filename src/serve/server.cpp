@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "serve/overload_governor.hpp"
-#include "serve/replanner.hpp"
-
 namespace vlacnn::serve {
 
 namespace {
@@ -100,37 +97,19 @@ std::vector<Completion> Server::drain_completions() {
 }
 
 ServerStats Server::stats() const {
-  const RequestQueue::Stats qs = queue_.stats();
   ServerStats s;
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     s = stats_;
   }
-  s.admitted = qs.accepted;
-  s.rejected = qs.rejected;
-  s.queue_peak_depth = qs.peak_depth;
-  if (cfg_.replanner != nullptr) {
-    const ReplanStats rs = cfg_.replanner->stats();
-    s.plans_recomputed = rs.plans_recomputed;
-    s.plan_swaps_applied = rs.swaps_applied;
-    s.last_plan_compute_us = rs.last_plan_compute_us;
-    s.plan_priced_batch = rs.current_priced_batch;
-    s.backend_wins = rs.wins;
-    s.tier = rs.current_tier;
-  }
-  if (cfg_.governor != nullptr) {
-    const GovernorStats gs = cfg_.governor->stats();
-    s.governor_rejected_overload = gs.rejected_overload;
-    s.governor_rejected_doomed = gs.rejected_doomed;
-    s.drop_intervals = gs.drop_intervals;
-    s.tier = gs.tier;
-    s.tier_degrades = gs.tier_degrades;
-    s.tier_recoveries = gs.tier_recoveries;
-  }
+  s.queue = queue_.stats();
+  if (cfg_.replanner != nullptr) s.replan = cfg_.replanner->stats();
+  if (cfg_.governor != nullptr) s.governor = cfg_.governor->stats();
   // Admission rejections never produce a Completion; fold them into the
   // outcome tally here so outcomes sums to every resolved request.
   s.outcomes[static_cast<std::size_t>(Outcome::RejectedOverload)] +=
-      qs.rejected + s.governor_rejected_overload + s.governor_rejected_doomed;
+      s.queue.rejected + s.governor.rejected_overload +
+      s.governor.rejected_doomed;
   s.watchdog_wedges = sched_->watchdog_wedges();
   return s;
 }
@@ -212,29 +191,27 @@ void Server::completion_loop() {
     }
 
     runtime::BatchResult res;
-    bool cancelled = false;
+    Outcome failed = Outcome::Ok;
     try {
       res = sched_->wait(inf.ticket);
     } catch (const runtime::BatchCancelled&) {
       // The watchdog declared the batch wedged and cancelled it: not an
       // internal fault of the server (no error_ recorded, stop() stays
       // clean) — resolve every rider with a typed Cancelled completion.
-      cancelled = true;
+      failed = Outcome::Cancelled;
     } catch (...) {
       // A failed forward pass: remember the first error (stop() rethrows)
       // and resolve the batch's requests as InternalError — they still
       // complete, just without an output.
       std::lock_guard<std::mutex> lock(stats_mu_);
       if (!error_) error_ = std::current_exception();
-      const Clock::time_point now = Clock::now();
-      for (const InferRequest& r : inf.requests)
-        emit(terminal(r, Outcome::InternalError, now));
-      continue;
+      failed = Outcome::InternalError;
     }
-    if (cancelled) {
+    if (failed != Outcome::Ok) {
+      // Outside the error's lock scope: emit() takes stats_mu_ itself.
       const Clock::time_point now = Clock::now();
       for (const InferRequest& r : inf.requests)
-        emit(terminal(r, Outcome::Cancelled, now));
+        emit(terminal(r, failed, now));
       continue;
     }
     const Clock::time_point done = Clock::now();
@@ -255,8 +232,12 @@ void Server::completion_loop() {
       cfg_.governor->observe_batch(done, sojourn_s, nb, res.compute_seconds);
     }
 
-    std::vector<Completion> local;
-    local.reserve(static_cast<std::size_t>(nb));
+    {
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      stats_.batches += 1;
+      stats_.sum_batch_items += nb;
+      stats_.trigger_counts[static_cast<std::size_t>(inf.trigger)] += 1;
+    }
     for (int b = 0; b < nb; ++b) {
       const InferRequest& r = inf.requests[static_cast<std::size_t>(b)];
       const bool item_failed =
@@ -282,26 +263,8 @@ void Server::completion_loop() {
         std::memcpy(c.output.data(), res.output.item_data(b),
                     c.output.size() * sizeof(float));
       }
-      local.push_back(std::move(c));
+      emit(std::move(c));
     }
-
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      stats_.completed += static_cast<std::uint64_t>(nb);
-      stats_.batches += 1;
-      stats_.sum_batch_items += nb;
-      stats_.trigger_counts[static_cast<std::size_t>(inf.trigger)] += 1;
-      for (const Completion& c : local) {
-        stats_.outcomes[static_cast<std::size_t>(c.trace.outcome)] += 1;
-        if (c.trace.outcome == Outcome::Ok && !c.trace.deadline_met)
-          ++stats_.deadline_misses;
-      }
-      if (!cfg_.on_complete) {
-        for (Completion& c : local) completions_.push_back(std::move(c));
-        continue;
-      }
-    }
-    for (Completion& c : local) cfg_.on_complete(std::move(c));
   }
 }
 

@@ -9,11 +9,10 @@
 #include "core/cost_model.hpp"
 #include "runtime/batch_scheduler.hpp"
 #include "serve/micro_batcher.hpp"
+#include "serve/overload_governor.hpp"
+#include "serve/replanner.hpp"
 
 namespace vlacnn::serve {
-
-class OverloadGovernor;
-class Replanner;
 
 /// Per-request latency breakdown, in milliseconds.
 struct RequestTrace {
@@ -54,18 +53,18 @@ struct ServerConfig {
   bool block_when_full = false;
   /// Invoked on the completion thread as each request finishes. When unset,
   /// completions accumulate internally; collect with drain_completions().
-  std::function<void(Completion&&)> on_complete;
+  std::function<void(Completion&&)> on_complete{};
   /// Online re-planning hook (optional; must outlive the server and be
   /// start()ed by the caller). The completion loop reports every finished
-  /// micro-batch (size + queue depth) to it, and Server::stats() merges its
-  /// counters. The server never blocks on it: planning happens on the
+  /// micro-batch (size + queue depth) to it, and Server::stats() snapshots
+  /// its counters. The server never blocks on it: planning happens on the
   /// replanner's own thread, plan swaps at scheduler batch boundaries.
   Replanner* replanner = nullptr;
   /// Adaptive admission control + degradation-ladder driver (optional; must
   /// outlive the server). submit() consults it before offering the request
   /// to the queue — a governor rejection returns Admit::RejectedOverload and
   /// the request never occupies a queue slot. The completion loop feeds
-  /// every finished batch back into it, and Server::stats() merges its
+  /// every finished batch back into it, and Server::stats() snapshots its
   /// counters. Wire its on_tier callback to Replanner::request_tier to
   /// close the graceful-degradation loop.
   OverloadGovernor* governor = nullptr;
@@ -83,32 +82,18 @@ struct ServerStats {
   /// Launches per Trigger (indexed by static_cast<int>(Trigger)) — one
   /// count per batch, not per request.
   std::array<std::uint64_t, 4> trigger_counts{};
-  // Admission-side counters (mirrors RequestQueue::Stats).
-  std::uint64_t admitted = 0;
-  std::uint64_t rejected = 0;
-  std::size_t queue_peak_depth = 0;
-  // Re-planning counters (zero when no Replanner is wired in; otherwise a
-  // snapshot of ReplanStats at the stats() call).
-  std::uint64_t plans_recomputed = 0;
-  std::uint64_t plan_swaps_applied = 0;
-  std::uint64_t last_plan_compute_us = 0;
-  int plan_priced_batch = 0;  ///< batch the live plan is priced for
-  /// Per-backend layer-entry win counts of the live plan (indexed by
-  /// static_cast<std::size_t>(core::Backend)).
-  std::array<std::uint64_t, core::kBackendCount> backend_wins{};
   /// Terminal outcome tally, indexed by static_cast<std::size_t>(Outcome).
   /// outcomes[RejectedOverload] merges queue-full rejections with the
   /// governor's CoDel/doomed rejections; the other entries count delivered
   /// Completions. Sum == every request that ever entered submit() and
   /// resolved — nothing vanishes silently.
   std::array<std::uint64_t, kOutcomeCount> outcomes{};
-  // Overload-governor counters (zero when no governor is wired in).
-  std::uint64_t governor_rejected_overload = 0;
-  std::uint64_t governor_rejected_doomed = 0;
-  std::uint64_t drop_intervals = 0;
-  int tier = 0;  ///< current degradation-ladder tier
-  std::uint64_t tier_degrades = 0;
-  std::uint64_t tier_recoveries = 0;
+  /// Snapshots taken at the stats() call: the admission queue's counters,
+  /// and those of the Replanner and the OverloadGovernor (all zero when
+  /// that component is not wired in).
+  RequestQueue::Stats queue;
+  ReplanStats replan;
+  GovernorStats governor;
   /// Batches the scheduler's watchdog declared wedged and cancelled.
   std::uint64_t watchdog_wedges = 0;
 };
@@ -177,9 +162,9 @@ class Server {
 
   void batcher_loop();
   void completion_loop();
-  /// Delivers one out-of-band completion (shed / cancelled / internal
-  /// error): updates the outcome counters and routes it to on_complete or
-  /// the internal buffer, same as the batch path.
+  /// Delivers one completion (served, shed, cancelled or failed): updates
+  /// the outcome counters and routes it to on_complete or the internal
+  /// buffer.
   void emit(Completion&& c);
   /// Builds the empty-output completion for a request that never executed.
   Completion terminal(const InferRequest& r, Outcome outcome,

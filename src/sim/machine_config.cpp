@@ -120,4 +120,12 @@ MachineConfig a64fx() {
   return c;
 }
 
+MachineConfig machine_by_name(const std::string& name) {
+  if (name == "rvv") return rvv_gem5();
+  if (name == "sve") return sve_gem5();
+  if (name == "a64fx") return a64fx();
+  throw InvalidArgument("unknown machine \"" + name +
+                        "\" (valid: rvv, sve, a64fx)");
+}
+
 }  // namespace vlacnn::sim

@@ -103,4 +103,9 @@ MachineConfig rvv_gem5();    ///< RISC-V Vector @ gem5 (in-order, VPU on L2)
 MachineConfig sve_gem5();    ///< ARM-SVE @ gem5 (in-order, vector via L1)
 MachineConfig a64fx();       ///< Fujitsu A64FX (OoO, HW prefetch, 512-bit)
 
+/// The preset a `--machine=` flag names: "rvv" -> rvv_gem5(), "sve" ->
+/// sve_gem5(), "a64fx" -> a64fx(). Throws InvalidArgument listing the valid
+/// names on anything else, so a typo never runs a default machine.
+MachineConfig machine_by_name(const std::string& name);
+
 }  // namespace vlacnn::sim

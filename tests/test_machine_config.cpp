@@ -80,5 +80,22 @@ TEST(MachineConfig, WithLanesValidates) {
   EXPECT_THROW(rvv_gem5().with_lanes(3), InvalidArgument);
 }
 
+TEST(MachineConfig, MachineByNameMapsFlagNamesAndRejectsTypos) {
+  EXPECT_EQ(machine_by_name("rvv").name, rvv_gem5().name);
+  EXPECT_EQ(machine_by_name("sve").name, sve_gem5().name);
+  EXPECT_EQ(machine_by_name("a64fx").name, a64fx().name);
+  // A typo (or a preset's long name) must not fall back to a default.
+  for (const char* bad : {"rvvv", "", "SVE", "a64fx ", "riscv-vector-gem5"}) {
+    try {
+      (void)machine_by_name(bad);
+      ADD_FAILURE() << "accepted --machine=" << bad;
+    } catch (const InvalidArgument& e) {
+      const std::string what = e.what();
+      for (const char* valid : {"rvv", "sve", "a64fx"})
+        EXPECT_NE(what.find(valid), std::string::npos) << what;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace vlacnn::sim

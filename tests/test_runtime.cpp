@@ -40,6 +40,15 @@ TEST(ThreadPool, PostedTasksAllRunOnWorkers) {
   EXPECT_EQ(ran.load(), kTasks);
 }
 
+// The cap is checked before any worker spawns, so cap + 1 starts no thread.
+TEST(ThreadPool, ExplicitCountAboveCapThrowsBeforeSpawning) {
+  EXPECT_THROW(ThreadPool pool(ThreadPool::kMaxThreads + 1), InvalidArgument);
+  core::ConvolutionEngine engine(core::EnginePolicy::opt6loop());
+  SchedulerConfig cfg;
+  cfg.threads = ThreadPool::kMaxThreads + 1;
+  EXPECT_THROW(BatchScheduler sched(engine, cfg), InvalidArgument);
+}
+
 // ------------------------------------------------------------- record merge
 
 TEST(LayerRecords, MergeIsDeterministicAndOrderAware) {

@@ -377,6 +377,29 @@ TEST(MicroBatcher, DeadlineCutsTheWaitShort) {
 
 // ------------------------------------------------------------------ Server
 
+// ServerStats holds the Replanner's and the governor's counters as whole
+// snapshots: every field must arrive unchanged.
+void expect_same_stats(const ReplanStats& got, const ReplanStats& want) {
+  EXPECT_EQ(got.plans_recomputed, want.plans_recomputed);
+  EXPECT_EQ(got.swaps_applied, want.swaps_applied);
+  EXPECT_EQ(got.last_plan_compute_us, want.last_plan_compute_us);
+  EXPECT_EQ(got.current_priced_batch, want.current_priced_batch);
+  EXPECT_EQ(got.current_tier, want.current_tier);
+  EXPECT_EQ(got.tier_swaps, want.tier_swaps);
+  EXPECT_EQ(got.wins, want.wins);
+}
+
+void expect_same_stats(const GovernorStats& got, const GovernorStats& want) {
+  EXPECT_EQ(got.admitted, want.admitted);
+  EXPECT_EQ(got.rejected_overload, want.rejected_overload);
+  EXPECT_EQ(got.rejected_doomed, want.rejected_doomed);
+  EXPECT_EQ(got.drop_intervals, want.drop_intervals);
+  EXPECT_EQ(got.tier, want.tier);
+  EXPECT_EQ(got.tier_degrades, want.tier_degrades);
+  EXPECT_EQ(got.tier_recoveries, want.tier_recoveries);
+  EXPECT_EQ(got.est_item_seconds, want.est_item_seconds);
+}
+
 std::unique_ptr<dnn::Network> small_net() { return dnn::build_vgg16(32, 4); }
 
 TEST(Server, OutputsBitIdenticalToSynchronousRun) {
@@ -437,7 +460,7 @@ TEST(Server, OutputsBitIdenticalToSynchronousRun) {
   }
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(kRequests));
-  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_EQ(stats.queue.rejected, 0u);
   EXPECT_GE(stats.batches, 3u);  // 10 requests, batches of <= 4
 }
 
@@ -507,7 +530,7 @@ TEST(Server, RejectsWhenQueueFullBeforeStart) {
   EXPECT_EQ(server.drain_completions().size(), 2u);
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.completed, 2u);
-  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.queue.rejected, 1u);
 }
 
 TEST(Server, StopBeforeStartCancelsPendingWithTypedOutcome) {
@@ -790,7 +813,7 @@ TEST(Server, ReplannerWiredIntoServingLoop) {
               Admit::Accepted);
   }
   const ServerStats mid = server.stats();  // merged while running: no crash
-  EXPECT_EQ(mid.plan_priced_batch, rp.stats().current_priced_batch);
+  EXPECT_EQ(mid.replan.current_priced_batch, rp.stats().current_priced_batch);
   server.stop();
   rp.stop();
 
@@ -812,12 +835,7 @@ TEST(Server, ReplannerWiredIntoServingLoop) {
   }
 
   // The replanner's counters surface through Server::stats().
-  const ServerStats stats = server.stats();
-  const ReplanStats rs = rp.stats();
-  EXPECT_EQ(stats.plans_recomputed, rs.plans_recomputed);
-  EXPECT_EQ(stats.plan_swaps_applied, rs.swaps_applied);
-  EXPECT_EQ(stats.plan_priced_batch, rs.current_priced_batch);
-  EXPECT_EQ(stats.backend_wins, rs.wins);
+  expect_same_stats(server.stats().replan, rp.stats());
 }
 
 // ------------------------------------------------------- OverloadGovernor
@@ -1124,24 +1142,26 @@ TEST(Server, ChaosOverloadEveryRequestResolvesTyped) {
   // steps down (generous wall-clock bound; sanitizer builds run slow).
   const auto degrade_by =
       std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (server.stats().tier_degrades == 0 &&
+  while (server.stats().governor.tier_degrades == 0 &&
          std::chrono::steady_clock::now() < degrade_by) {
     for (int i = 0; i < 16; ++i)
       submit_one(Clock::now() + milliseconds(250));
     std::this_thread::sleep_for(milliseconds(2));
   }
-  EXPECT_GE(server.stats().tier_degrades, 1u) << "ladder never degraded";
+  EXPECT_GE(server.stats().governor.tier_degrades, 1u)
+      << "ladder never degraded";
 
   // Phase 2 — calm: a trickle lets the queue drain, sojourn falls under
   // target and the ladder climbs back.
   const auto recover_by =
       std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (server.stats().tier_recoveries == 0 &&
+  while (server.stats().governor.tier_recoveries == 0 &&
          std::chrono::steady_clock::now() < recover_by) {
     submit_one(kNoDeadline);
     std::this_thread::sleep_for(milliseconds(25));
   }
-  EXPECT_GE(server.stats().tier_recoveries, 1u) << "ladder never recovered";
+  EXPECT_GE(server.stats().governor.tier_recoveries, 1u)
+      << "ladder never recovered";
 
   server.stop();
   rp.stop();
@@ -1162,6 +1182,9 @@ TEST(Server, ChaosOverloadEveryRequestResolvesTyped) {
   const runtime::FaultInjector::Stats fs = injector.stats();
   EXPECT_GT(fs.task_stalls + fs.worker_slows + fs.item_failures, 0u);
   EXPECT_EQ(st.watchdog_wedges, 0u);
+  // Both controllers' counters surface through Server::stats() whole.
+  expect_same_stats(st.governor, governor.stats());
+  expect_same_stats(st.replan, rp.stats());
 }
 
 }  // namespace
