@@ -174,11 +174,14 @@ int main(int argc, char** argv) try {
   if (replanner) replanner->stop();
   const serve::ServerStats& stats = res.stats;
   const serve::ReplanStats& rs = stats.replan;
-  const double ips = static_cast<double>(stats.completed) / res.wall_s;
+  // Served means an Ok outcome: `completed` also counts failed requests.
+  const std::uint64_t served =
+      stats.outcomes[static_cast<std::size_t>(serve::Outcome::Ok)];
+  const double ips = static_cast<double>(served) / res.wall_s;
 
   std::printf("served %llu/%d requests in %.2f s (%.1f images/sec), "
               "%llu shed by the full queue\n",
-              static_cast<unsigned long long>(stats.completed), f.requests,
+              static_cast<unsigned long long>(served), f.requests,
               res.wall_s, ips,
               static_cast<unsigned long long>(stats.queue.rejected));
   std::printf("%llu batches, avg %.2f images/batch, queue peak depth %zu\n",

@@ -26,6 +26,7 @@
 #include <string>
 
 #include "common/cli.hpp"
+#include "common/error.hpp"
 #include "common/table.hpp"
 #include "core/selector.hpp"
 #include "dnn/models.hpp"
@@ -75,12 +76,14 @@ int main(int argc, char** argv) try {
   if (vlen != 0) machine = machine.with_vlen(vlen);
 
   std::unique_ptr<dnn::Network> net;
-  if (model == "tiny")
+  if (model == "yolov3")
+    net = dnn::build_yolov3(input, layers);
+  else if (model == "tiny")
     net = dnn::build_yolov3_tiny(input, layers);
   else if (model == "vgg16")
     net = dnn::build_vgg16(input, layers);
   else
-    net = dnn::build_yolov3(input, layers);
+    throw InvalidArgument("--model=" + model + ": expected yolov3|tiny|vgg16");
 
   std::printf("algorithm advisor: %s (%zu conv layers) at %dx%d on %s "
               "[cost=%s]\n\n",

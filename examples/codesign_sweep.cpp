@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/cli.hpp"
+#include "common/error.hpp"
 #include "common/table.hpp"
 #include "core/codesign.hpp"
 #include "dnn/models.hpp"
@@ -20,6 +21,8 @@ using namespace vlacnn;
 int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
   const std::string model = args.get("model", "yolov3");
+  if (model != "yolov3" && model != "tiny" && model != "vgg16")
+    throw InvalidArgument("--model=" + model + ": expected yolov3|tiny|vgg16");
   const int input = static_cast<int>(args.get_int("input", 64));
   const int layers = static_cast<int>(args.get_int("layers", 12));
   const std::string machine_name = args.get("machine", "rvv");

@@ -28,10 +28,7 @@ class CliArgs {
     return positional_;
   }
 
-  [[nodiscard]] const std::string& program_name() const { return program_; }
-
  private:
-  std::string program_;
   std::map<std::string, std::string> kv_;
   std::vector<std::string> positional_;
 };

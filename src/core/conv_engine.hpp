@@ -82,13 +82,6 @@ struct EnginePolicy {
     p.fuse_conv = true;
     return p;
   }
-
-  /// True when the policy routes this layer shape to Winograd.
-  [[nodiscard]] bool routes_to_winograd(const dnn::ConvDesc& d) const {
-    if (!winograd::WinogradConv::supports(d)) return false;
-    if (d.stride == 1) return winograd_stride1;
-    return winograd_stride2;
-  }
 };
 
 /// Compiles a BackendPlan into per-context dispatch tables and installs

@@ -275,10 +275,9 @@ BackendPlan select_per_layer(dnn::Network& net,
               measure_quantized_accuracy(qb, d, plan.opt6, input_seed);
           const bool within =
               qb == Backend::Gemm6Bf16
-                  ? st.max_rel <= accuracy.bf16_rel_tol &&
-                        st.max_ulp <= accuracy.bf16_max_ulp
-                  : st.max_rel <= accuracy.int8_rel_tol &&
-                        (!accuracy.int8_top1_preserving || st.top1_preserved);
+                  ? st.max_rel <= kBf16OutputRelTol &&
+                        st.max_ulp <= kBf16OutputMaxUlp
+                  : st.max_rel <= kInt8OutputRelTol && st.top1_preserved;
           if (!within) continue;  // over budget: not even listed
           const std::uint64_t cycles =
               analytic
@@ -312,10 +311,8 @@ BackendPlan select_per_layer(dnn::Network& net,
             continue;
           const AccuracyStats st =
               measure_quantized_accuracy(sb, d, plan.opt6, input_seed, pm);
-          const bool within =
-              st.max_rel <= accuracy.sparse_rel_tol &&
-              (!accuracy.sparse_top1_preserving || st.top1_preserved);
-          if (!within) continue;  // over budget: not even listed
+          if (st.max_rel > kSparseOutputRelTol)
+            continue;  // over budget: not even listed
           const std::uint64_t cycles =
               analytic
                   ? model->cycles(sb, d, /*weight_resident=*/true, batch, pm)

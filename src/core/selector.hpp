@@ -35,33 +35,24 @@ inline constexpr float kInt8OutputRelTol = 1.0f / 16;   // 2^-4 of max |ref|
 /// deterministic uniform-random weights (the incompressible worst case — no
 /// real checkpoint's magnitude distribution is that flat) a 0.5-density
 /// prune leaves roughly half the L1 weight mass out of every output
-/// channel. The pinned bound covers that worst case with headroom; plans
-/// built for genuinely pruned checkpoints should pass a far tighter
-/// sparse_rel_tol through the budget instead of relying on this ceiling.
+/// channel. The pinned bound covers that worst case with headroom.
 inline constexpr float kSparseOutputRelTol = 0.75f;
 
 /// Per-plan accuracy budget gating quantized candidates in
 /// select_per_layer. The default admits NONE (fp32-only selection, the
 /// historical behavior); relaxed() opts both formats in under the pinned
-/// gates above.
+/// gates above. int8 candidates must also keep the per-position argmax over
+/// output channels (the top-1-preserving criterion).
 struct AccuracyBudget {
   bool allow_bf16 = false;
   bool allow_int8 = false;
-  float bf16_rel_tol = kBf16OutputRelTol;
-  std::uint32_t bf16_max_ulp = kBf16OutputMaxUlp;
-  float int8_rel_tol = kInt8OutputRelTol;
-  /// Require the per-position argmax over output channels to survive int8
-  /// quantization (the top-1-preserving criterion).
-  bool int8_top1_preserving = true;
   /// Opt block-sparse candidates in (Gemm6Sparse; plus Gemm6SparseBf16 when
   /// allow_bf16 is also set) at `sparse_density` (fraction of 4x16 blocks
-  /// kept). Sparse admission uses its own rel gate; top-1 preservation is
-  /// off by default — magnitude pruning at serving time is a deliberate
-  /// accuracy/throughput trade the budget owner opts into.
+  /// kept). Sparse admission uses its own rel gate and no top-1 check —
+  /// magnitude pruning at serving time is a deliberate accuracy/throughput
+  /// trade the budget owner opts into.
   bool allow_sparse = false;
   float sparse_density = 0.5f;
-  float sparse_rel_tol = kSparseOutputRelTol;
-  bool sparse_top1_preserving = false;
 
   [[nodiscard]] static AccuracyBudget relaxed() {
     AccuracyBudget b;

@@ -37,10 +37,6 @@ void copy_cpu(vla::VectorEngine& eng, std::size_t n, const float* src,
   }
 }
 
-void copy_ref(std::size_t n, const float* src, float* dst) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = src[i];
-}
-
 void normalize_cpu(vla::VectorEngine& eng, float* x, const float* mean,
                    const float* variance, int channels, int spatial) {
   for (int c = 0; c < channels; ++c) {

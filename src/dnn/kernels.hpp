@@ -20,7 +20,6 @@ void fill_ref(std::size_t n, float alpha, float* x);
 // dst[0..n) = src[0..n)
 void copy_cpu(vla::VectorEngine& eng, std::size_t n, const float* src,
               float* dst);
-void copy_ref(std::size_t n, const float* src, float* dst);
 
 // x[c][i] = (x[c][i] - mean[c]) / sqrt(var[c] + eps), spatial size per channel
 void normalize_cpu(vla::VectorEngine& eng, float* x, const float* mean,

@@ -92,7 +92,6 @@ class Layer {
   [[nodiscard]] virtual Tensor& output() { return output_; }
 
   void set_self_index(int i) { self_index_ = i; }
-  [[nodiscard]] int self_index() const { return self_index_; }
 
  protected:
   Tensor output_;

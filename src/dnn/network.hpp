@@ -52,11 +52,6 @@ class Network {
   [[nodiscard]] int in_h() const { return in_h_; }
   [[nodiscard]] int in_w() const { return in_w_; }
 
-  /// Shape after the last added layer (builder state).
-  [[nodiscard]] int cur_c() const { return cur_c_; }
-  [[nodiscard]] int cur_h() const { return cur_h_; }
-  [[nodiscard]] int cur_w() const { return cur_w_; }
-
   /// Total conv/FC multiply-add FLOPs.
   [[nodiscard]] double total_flops() const;
 

@@ -75,10 +75,4 @@ void gemm_opt3(vla::VectorEngine& eng, const Opt3Config& cfg, int M, int N,
                           ldb, C, ldc);
 }
 
-void gemm_opt3_default(vla::VectorEngine& eng, int M, int N, int K,
-                       float alpha, const float* A, int lda, const float* B,
-                       int ldb, float* C, int ldc) {
-  gemm_opt3(eng, Opt3Config{}, M, N, K, alpha, A, lda, B, ldb, C, ldc);
-}
-
 }  // namespace vlacnn::gemm

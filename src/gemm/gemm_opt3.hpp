@@ -26,9 +26,4 @@ void gemm_opt3(vla::VectorEngine& eng, const Opt3Config& cfg, int M, int N,
                int K, float alpha, const float* A, int lda, const float* B,
                int ldb, float* C, int ldc);
 
-/// gemm_opt3 with the paper's default unroll factor of 16.
-void gemm_opt3_default(vla::VectorEngine& eng, int M, int N, int K,
-                       float alpha, const float* A, int lda, const float* B,
-                       int ldb, float* C, int ldc);
-
 }  // namespace vlacnn::gemm

@@ -6,20 +6,6 @@
 
 namespace vlacnn::serve {
 
-const char* trigger_name(Trigger t) {
-  switch (t) {
-    case Trigger::Full:
-      return "full";
-    case Trigger::MaxWait:
-      return "max_wait";
-    case Trigger::Deadline:
-      return "deadline";
-    case Trigger::Drain:
-      return "drain";
-  }
-  return "?";
-}
-
 LaunchDecision decide(const BatchPolicy& policy, int queued,
                       Clock::time_point oldest_arrival,
                       Clock::time_point min_deadline, Clock::time_point now) {

@@ -16,8 +16,6 @@ enum class Trigger {
   Drain,     ///< queue closed; final partial batch of the shutdown drain
 };
 
-const char* trigger_name(Trigger t);
-
 /// Batch-formation policy.
 struct BatchPolicy {
   /// Launch as soon as this many requests are aboard.

@@ -17,6 +17,9 @@ double estimate_item_seconds(const core::BackendPlan& plan, double freq_ghz) {
 
 namespace {
 
+/// EWMA weight for folding observed per-item compute into the estimate.
+constexpr double kEwmaAlpha = 0.2;
+
 Clock::duration ms_to_dur(double ms) {
   return std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double, std::milli>(ms));
@@ -29,8 +32,6 @@ OverloadGovernor::OverloadGovernor(GovernorConfig cfg,
     : cfg_(cfg), on_tier_(std::move(on_tier)) {
   VLACNN_REQUIRE(cfg_.target_sojourn_ms > 0, "target_sojourn_ms must be > 0");
   VLACNN_REQUIRE(cfg_.interval_ms > 0, "interval_ms must be > 0");
-  VLACNN_REQUIRE(cfg_.ewma_alpha > 0 && cfg_.ewma_alpha <= 1,
-                 "ewma_alpha must be in (0, 1]");
   est_item_s_ = cfg_.est_item_seconds;
   stats_.est_item_seconds = est_item_s_;
 }
@@ -159,8 +160,7 @@ void OverloadGovernor::observe_batch(Clock::time_point now, double sojourn_s,
       const double obs = compute_s / items;
       est_item_s_ = est_item_s_ <= 0
                         ? obs
-                        : cfg_.ewma_alpha * obs +
-                              (1.0 - cfg_.ewma_alpha) * est_item_s_;
+                        : kEwmaAlpha * obs + (1.0 - kEwmaAlpha) * est_item_s_;
       stats_.est_item_seconds = est_item_s_;
     }
     if (!above_target(sojourn_s)) {

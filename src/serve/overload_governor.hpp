@@ -27,10 +27,9 @@ struct GovernorConfig {
   /// Seed for the per-item service-time estimate, in seconds. Callers price
   /// it from the CostModel (estimate_item_seconds below); 0 means "learn
   /// from observations only" — doomed-work rejection stays off until the
-  /// first batch completes.
+  /// first batch completes. Observed per-item compute is folded in with an
+  /// EWMA of weight 0.2.
   double est_item_seconds = 0.0;
-  /// EWMA weight for folding observed per-item compute into the estimate.
-  double ewma_alpha = 0.2;
   /// Doomed-work rejection margin: a request is rejected at admission when
   /// queue_depth * est_item_seconds * doom_headroom already overruns its
   /// deadline — it would only be shed at dequeue after wasting a queue

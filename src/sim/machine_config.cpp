@@ -1,7 +1,5 @@
 #include "sim/machine_config.hpp"
 
-#include <cmath>
-
 #include "common/error.hpp"
 
 namespace vlacnn::sim {
@@ -22,7 +20,6 @@ MachineConfig MachineConfig::with_l2_size(std::uint64_t bytes) const {
   VLACNN_REQUIRE(bytes >= 64 * 1024, "L2 must be at least 64 KiB");
   MachineConfig c = *this;
   c.l2.size_bytes = bytes;
-  c.l2.latency_cycles = l2_latency_for_size(bytes);
   return c;
 }
 
@@ -32,17 +29,6 @@ MachineConfig MachineConfig::with_lanes(unsigned n) const {
   c.lanes = n;
   c.lanes_proportional_to_vl = false;
   return c;
-}
-
-unsigned l2_latency_for_size(std::uint64_t size_bytes, L2LatencyModel model) {
-  // Paper §III-B: 12 cycles for 1 MB, extrapolated from AMD Zen2 via CACTI.
-  constexpr unsigned kBaseLatency = 12;
-  constexpr double kBaseMiB = 1.0;
-  if (model == L2LatencyModel::kConstant) return kBaseLatency;
-  const double mib = static_cast<double>(size_bytes) / (1024.0 * 1024.0);
-  if (mib <= kBaseMiB) return kBaseLatency;
-  // CACTI-like: +3 cycles per doubling beyond 1 MiB.
-  return kBaseLatency + static_cast<unsigned>(3.0 * std::log2(mib / kBaseMiB));
 }
 
 MachineConfig rvv_gem5() {

@@ -83,20 +83,14 @@ struct MachineConfig {
 
   /// Returns a copy with a different configured vector length.
   [[nodiscard]] MachineConfig with_vlen(unsigned bits) const;
-  /// Returns a copy with a different L2 capacity (latency per latency model).
+  /// Returns a copy with a different L2 capacity. The preset's L2 latency is
+  /// kept: the paper's co-design conclusions assume the latency "remains
+  /// low" as capacity grows (12 cycles, extrapolated from AMD Zen2 with
+  /// CACTI, §III-B).
   [[nodiscard]] MachineConfig with_l2_size(std::uint64_t bytes) const;
   /// Returns a copy with a different lane count.
   [[nodiscard]] MachineConfig with_lanes(unsigned n) const;
 };
-
-/// L2 latency as a function of capacity. The paper extrapolates AMD Zen2's
-/// 12-cycle L2 with CACTI and reports that its co-design conclusions assume
-/// the latency "remains low"; `kConstant` reproduces that assumption while
-/// `kCactiLike` grows latency ~logarithmically for ablations.
-enum class L2LatencyModel { kConstant, kCactiLike };
-
-unsigned l2_latency_for_size(std::uint64_t size_bytes,
-                             L2LatencyModel model = L2LatencyModel::kConstant);
 
 /// Paper Table I presets.
 MachineConfig rvv_gem5();    ///< RISC-V Vector @ gem5 (in-order, VPU on L2)

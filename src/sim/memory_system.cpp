@@ -79,11 +79,6 @@ void MemorySystem::add_dram_watch(std::uint64_t sim_base,
   watches_.emplace_back(sim_base, sim_base + bytes);
 }
 
-void MemorySystem::clear_dram_watches() {
-  watches_.clear();
-  watched_dram_lines_ = 0;
-}
-
 MemCost MemorySystem::touch_vector_line(std::uint64_t addr, bool write) {
   MemCost cost;
   cost.lines = 1;

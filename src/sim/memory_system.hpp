@@ -84,7 +84,6 @@ class MemorySystem {
   /// to measure per-item weight DRAM traffic in isolation. Watches are
   /// configuration, so reset() zeroes the counter but keeps the windows.
   void add_dram_watch(std::uint64_t sim_base, std::uint64_t bytes);
-  void clear_dram_watches();
   [[nodiscard]] std::uint64_t watched_dram_line_fills() const {
     return watched_dram_lines_;
   }

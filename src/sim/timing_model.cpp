@@ -56,7 +56,7 @@ std::uint64_t VectorTimingModel::issue(int dst,
   // dedicated load pipes); arithmetic executes on the FMA pipes. Both pay
   // the decoupled-VPU dispatch overhead on their resource.
   const bool is_mem = cls == VopClass::Load || cls == VopClass::Store ||
-                      cls == VopClass::Gather || cls == VopClass::Scatter;
+                      cls == VopClass::Gather;
   std::uint64_t start;
   if (is_mem) {
     start = std::max(ready, mem_port_free_);
@@ -107,7 +107,7 @@ std::uint64_t VectorTimingModel::issue(int dst,
   }
   if (cls == VopClass::Fma)
     stats_.flops += 2 * elements;
-  else if (cls == VopClass::Arith || cls == VopClass::Reduce)
+  else if (cls == VopClass::Arith)
     stats_.flops += elements;
   stats_.issue_stall_cycles += issue_cycle_ - std::min(issue_cycle_, prev_issue + 1);
   return done;
@@ -117,7 +117,7 @@ void VectorTimingModel::vop(VopClass cls, int dst,
                             std::initializer_list<int> srcs,
                             std::uint64_t elements) {
   std::uint64_t occupancy = (elements + lanes_ - 1) / lanes_;
-  if (cls == VopClass::Permute || cls == VopClass::Reduce)
+  if (cls == VopClass::Permute)
     occupancy *= 2;  // cross-lane traffic halves throughput
   if (cls == VopClass::SetVl || cls == VopClass::Broadcast)
     occupancy = 1;
@@ -128,7 +128,7 @@ void VectorTimingModel::vmem(VopClass cls, int dst,
                              std::initializer_list<int> srcs,
                              std::uint64_t elements, const MemCost& cost) {
   std::uint64_t occupancy = (elements + lanes_ - 1) / lanes_;
-  if (cls == VopClass::Gather || cls == VopClass::Scatter)
+  if (cls == VopClass::Gather)
     occupancy = std::max<std::uint64_t>(occupancy, elements);  // 1 elem/cycle
   const std::uint64_t stall = mem_exposed_cycles(cost);
   stats_.mem_stall_cycles += stall;

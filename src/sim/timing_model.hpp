@@ -11,16 +11,14 @@ namespace vlacnn::sim {
 
 /// Classes of dynamic vector instructions, for accounting.
 enum class VopClass {
-  Arith,      // add/mul/sub/min/max/compare...
+  Arith,      // add/mul/min/max
   Fma,        // fused multiply-add (counts 2 flops/element)
   Load,
   Store,
   Gather,
-  Scatter,
   Permute,    // transpose/zip/table ops
   Broadcast,  // scalar -> vector
-  Reduce,     // vector -> scalar
-  SetVl,      // vsetvl / whilelt
+  SetVl,      // vsetvl
 };
 
 struct TimingStats {
@@ -62,7 +60,6 @@ struct TimingStats {
 class VectorTimingModel {
  public:
   static constexpr unsigned kNumVregs = 32;
-  static constexpr unsigned kNumPregs = 16;
 
   explicit VectorTimingModel(const MachineConfig& cfg);
 
@@ -103,7 +100,7 @@ class VectorTimingModel {
   std::uint64_t startup_;          // rounded s0 + s1 * effective lanes
 
   std::uint64_t issue_cycle_ = 0;
-  std::array<std::uint64_t, kNumVregs + kNumPregs> reg_ready_{};
+  std::array<std::uint64_t, kNumVregs> reg_ready_{};
   std::vector<std::uint64_t> pipe_free_;   // one per vector pipe
   std::uint64_t mem_port_free_ = 0;        // vector memory port
   double issue_frac_ = 0.0;                // sub-cycle issue accumulation

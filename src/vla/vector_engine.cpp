@@ -1,8 +1,5 @@
 #include "vla/vector_engine.hpp"
 
-#include <algorithm>
-#include <cstring>
-
 namespace vlacnn::vla {
 
 namespace {
@@ -14,23 +11,11 @@ VectorEngine::VectorEngine(unsigned vlen_bits)
   VLACNN_REQUIRE(is_pow2(vlen_bits) && vlen_bits >= 128 && vlen_bits <= 65536,
                  "vector length must be a power of two in [128, 65536] bits");
   regfile_.assign(static_cast<std::size_t>(kNumVregs) * vlmax(), 0.0f);
-  predfile_.assign(static_cast<std::size_t>(kNumPregs) * vlmax(), 0);
 }
 
 VectorEngine::VectorEngine(sim::SimContext& ctx)
     : VectorEngine(ctx.config().vlen_bits) {
   ctx_ = &ctx;
-}
-
-void VectorEngine::check_preg(Preg p) const {
-  VLACNN_REQUIRE(p >= 0 && p < static_cast<int>(kNumPregs),
-                 "predicate register out of range");
-}
-
-void VectorEngine::note_vop(sim::VopClass cls, int dst,
-                            std::initializer_list<int> srcs,
-                            std::size_t elements) {
-  if (ctx_ != nullptr) ctx_->timing().vop(cls, dst, srcs, elements);
 }
 
 void VectorEngine::note_vmem(sim::VopClass cls, int dst,
@@ -43,84 +28,7 @@ void VectorEngine::note_vmem(sim::VopClass cls, int dst,
   ctx_->timing().vmem(cls, dst, srcs, elements, cost);
 }
 
-void VectorEngine::note_vmem_strided(sim::VopClass cls, int dst,
-                                     const void* base,
-                                     std::ptrdiff_t stride_bytes,
-                                     std::size_t n, bool write) {
-  if (ctx_ == nullptr) return;
-  const std::uint64_t sim_addr = sim::AddressMap::instance().translate(base);
-  const sim::MemCost cost = ctx_->memory().vector_access_strided(
-      sim_addr, stride_bytes, 4, n, write);
-  ctx_->timing().vmem(cls, dst, {}, n, cost);
-}
-
-// ---------------- strip mining / predication ----------------
-
-std::size_t VectorEngine::whilelt(Preg p, std::size_t i, std::size_t n) {
-  check_preg(p);
-  std::uint8_t* pr = predfile_.data() + static_cast<std::size_t>(p) * vlmax();
-  std::size_t active = 0;
-  for (std::size_t l = 0; l < vlmax(); ++l) {
-    pr[l] = (i + l < n) ? 1 : 0;
-    active += pr[l];
-  }
-  gvl_ = vlmax();  // SVE ops nominally run at full width with predication
-  note_vop(sim::VopClass::SetVl, -1, {}, 0);
-  return active;
-}
-
-void VectorEngine::ptrue(Preg p) {
-  check_preg(p);
-  std::uint8_t* pr = predfile_.data() + static_cast<std::size_t>(p) * vlmax();
-  std::fill(pr, pr + vlmax(), std::uint8_t{1});
-  gvl_ = vlmax();
-  note_vop(sim::VopClass::SetVl, -1, {}, 0);
-}
-
-std::size_t VectorEngine::active_lanes(Preg p) const {
-  check_preg(p);
-  const std::uint8_t* pr =
-      predfile_.data() + static_cast<std::size_t>(p) * vlmax();
-  std::size_t active = 0;
-  for (std::size_t l = 0; l < vlmax(); ++l) active += pr[l];
-  return active;
-}
-
 // ---------------- memory ----------------
-
-void VectorEngine::vload_pred(Vreg vd, Preg p, const float* src) {
-  check_vreg(vd);
-  check_preg(p);
-  const std::uint8_t* pr =
-      predfile_.data() + static_cast<std::size_t>(p) * vlmax();
-  float* d = reg(vd);
-  std::size_t active = 0;
-  for (std::size_t l = 0; l < vlmax(); ++l) {
-    d[l] = pr[l] ? src[l] : 0.0f;
-    active += pr[l];
-  }
-  count_mem(active * sizeof(float), false);
-  note_vmem(sim::VopClass::Load, vd, {}, active, src, active * sizeof(float),
-            false);
-}
-
-void VectorEngine::vstore_pred(Vreg vs, Preg p, float* dst) {
-  check_vreg(vs);
-  check_preg(p);
-  const std::uint8_t* pr =
-      predfile_.data() + static_cast<std::size_t>(p) * vlmax();
-  const float* s = reg(vs);
-  std::size_t active = 0;
-  for (std::size_t l = 0; l < vlmax(); ++l) {
-    if (pr[l]) {
-      dst[l] = s[l];
-      ++active;
-    }
-  }
-  count_mem(active * sizeof(float), true);
-  note_vmem(sim::VopClass::Store, -1, {vs}, active, dst, active * sizeof(float),
-            true);
-}
 
 void VectorEngine::vload_strided(Vreg vd, const float* base,
                                  std::ptrdiff_t stride_elems) {
@@ -129,21 +37,12 @@ void VectorEngine::vload_strided(Vreg vd, const float* base,
   for (std::size_t l = 0; l < gvl_; ++l)
     d[l] = base[static_cast<std::ptrdiff_t>(l) * stride_elems];
   count_mem(gvl_ * sizeof(float), false);
-  note_vmem_strided(sim::VopClass::Load, vd, base,
-                    stride_elems * static_cast<std::ptrdiff_t>(sizeof(float)),
-                    gvl_, false);
-}
-
-void VectorEngine::vstore_strided(Vreg vs, float* base,
-                                  std::ptrdiff_t stride_elems) {
-  check_vreg(vs);
-  const float* s = reg(vs);
-  for (std::size_t l = 0; l < gvl_; ++l)
-    base[static_cast<std::ptrdiff_t>(l) * stride_elems] = s[l];
-  count_mem(gvl_ * sizeof(float), true);
-  note_vmem_strided(sim::VopClass::Store, -1, base,
-                    stride_elems * static_cast<std::ptrdiff_t>(sizeof(float)),
-                    gvl_, true);
+  if (ctx_ == nullptr) return;
+  const std::uint64_t sim_addr = sim::AddressMap::instance().translate(base);
+  const sim::MemCost cost = ctx_->memory().vector_access_strided(
+      sim_addr, stride_elems * static_cast<std::ptrdiff_t>(sizeof(float)), 4,
+      gvl_, false);
+  ctx_->timing().vmem(sim::VopClass::Load, vd, {}, gvl_, cost);
 }
 
 void VectorEngine::vgather(Vreg vd, const float* base,
@@ -220,23 +119,6 @@ void VectorEngine::vscatter_local(Vreg vs, float* base,
   }
 }
 
-void VectorEngine::vscatter(Vreg vs, float* base, const std::int32_t* indices) {
-  check_vreg(vs);
-  const float* s = reg(vs);
-  for (std::size_t l = 0; l < gvl_; ++l) base[indices[l]] = s[l];
-  count_mem(gvl_ * sizeof(float), true);
-  if (ctx_ != nullptr) {
-    sim::MemCost total;
-    for (std::size_t l = 0; l < gvl_; ++l) {
-      const std::uint64_t a =
-          sim::AddressMap::instance().translate(base + indices[l]);
-      total += ctx_->memory().vector_access(a, sizeof(float), true);
-    }
-    total.serial_cycles = 4 + (total.lines > 0 ? total.lines - 1 : 0);
-    ctx_->timing().vmem(sim::VopClass::Scatter, -1, {vs}, gvl_, total);
-  }
-}
-
 void VectorEngine::prefetch(const void* addr, std::size_t bytes, int level) {
   if (ctx_ == nullptr) return;
   // The instruction itself occupies an issue slot even when it is a no-op
@@ -245,64 +127,6 @@ void VectorEngine::prefetch(const void* addr, std::size_t bytes, int level) {
   ctx_->timing().scalar(1);
   const std::uint64_t sim_addr = sim::AddressMap::instance().translate(addr);
   ctx_->memory().software_prefetch(sim_addr, bytes, level);
-}
-
-// ---------------- arithmetic ----------------
-
-void VectorEngine::vfma_pred(Vreg vacc, Preg p, Vreg va, Vreg vb) {
-  check_vreg(vacc);
-  check_vreg(va);
-  check_vreg(vb);
-  check_preg(p);
-  const std::uint8_t* pr =
-      predfile_.data() + static_cast<std::size_t>(p) * vlmax();
-  float* acc = reg(vacc);
-  const float* a = reg(va);
-  const float* b = reg(vb);
-  std::size_t active = 0;
-  for (std::size_t l = 0; l < vlmax(); ++l) {
-    if (pr[l]) {
-      acc[l] += a[l] * b[l];
-      ++active;
-    }
-  }
-  note_vop(sim::VopClass::Fma, vacc, {vacc, va, vb}, active);
-}
-
-void VectorEngine::vfma_scalar_pred(Vreg vacc, Preg p, float a, Vreg vb) {
-  check_vreg(vacc);
-  check_vreg(vb);
-  check_preg(p);
-  const std::uint8_t* pr =
-      predfile_.data() + static_cast<std::size_t>(p) * vlmax();
-  float* acc = reg(vacc);
-  const float* b = reg(vb);
-  std::size_t active = 0;
-  for (std::size_t l = 0; l < vlmax(); ++l) {
-    if (pr[l]) {
-      acc[l] += a * b[l];
-      ++active;
-    }
-  }
-  note_vop(sim::VopClass::Fma, vacc, {vacc, vb}, active);
-}
-
-float VectorEngine::vredsum(Vreg v) {
-  check_vreg(v);
-  const float* s = reg(v);
-  float sum = 0.0f;
-  for (std::size_t l = 0; l < gvl_; ++l) sum += s[l];
-  note_vop(sim::VopClass::Reduce, -1, {v}, gvl_);
-  return sum;
-}
-
-float VectorEngine::vredmax(Vreg v) {
-  check_vreg(v);
-  const float* s = reg(v);
-  float m = s[0];
-  for (std::size_t l = 1; l < gvl_; ++l) m = std::max(m, s[l]);
-  note_vop(sim::VopClass::Reduce, -1, {v}, gvl_);
-  return m;
 }
 
 // ---------------- permutes ----------------
@@ -318,39 +142,8 @@ void VectorEngine::vpermute(Vreg vd, Vreg vs, const std::int32_t* idx) {
                    "permute index out of register bounds");
     d[l] = s[idx[l]];
   }
-  note_vop(sim::VopClass::Permute, vd, {vs}, gvl_);
-}
-
-void VectorEngine::vzip_lo(Vreg vd, Vreg va, Vreg vb) {
-  check_vreg(vd);
-  check_vreg(va);
-  check_vreg(vb);
-  VLACNN_REQUIRE(vd != va && vd != vb, "vzip requires a distinct destination");
-  float* d = reg(vd);
-  const float* a = reg(va);
-  const float* b = reg(vb);
-  const std::size_t half = gvl_ / 2;
-  for (std::size_t l = 0; l < half; ++l) {
-    d[2 * l] = a[l];
-    d[2 * l + 1] = b[l];
-  }
-  note_vop(sim::VopClass::Permute, vd, {va, vb}, gvl_);
-}
-
-void VectorEngine::vzip_hi(Vreg vd, Vreg va, Vreg vb) {
-  check_vreg(vd);
-  check_vreg(va);
-  check_vreg(vb);
-  VLACNN_REQUIRE(vd != va && vd != vb, "vzip requires a distinct destination");
-  float* d = reg(vd);
-  const float* a = reg(va);
-  const float* b = reg(vb);
-  const std::size_t half = gvl_ / 2;
-  for (std::size_t l = 0; l < half; ++l) {
-    d[2 * l] = a[half + l];
-    d[2 * l + 1] = b[half + l];
-  }
-  note_vop(sim::VopClass::Permute, vd, {va, vb}, gvl_);
+  if (ctx_ != nullptr)
+    ctx_->timing().vop(sim::VopClass::Permute, vd, {vs}, gvl_);
 }
 
 // ---------------- scalar accounting / test access ----------------

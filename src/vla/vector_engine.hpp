@@ -13,17 +13,16 @@ namespace vlacnn::vla {
 
 /// Architectural vector register number (v0..v31).
 using Vreg = int;
-/// Architectural predicate register number (p0..p15, SVE only).
-using Preg = int;
 
 /// Vector-length-agnostic vector engine: the substitute for RVV / SVE
 /// hardware intrinsics.
 ///
 /// Kernels are written against this class exactly as they would be written
 /// with EPI builtins (RVV) or ACLE (SVE): the author allocates architectural
-/// registers v0..v31 explicitly, strip-mines loops with `setvl` (RVV style)
-/// or `whilelt` predicates (SVE style), and uses contiguous / strided /
-/// gather-scatter memory operations and vector-scalar FMAs.
+/// registers v0..v31 explicitly, strip-mines every loop with `setvl`, and
+/// uses contiguous / strided / gather memory operations and vector-scalar
+/// FMAs. The same kernels run for both ISAs — the machine config picks the
+/// memory path and timing, not the op set — and no kernel uses predicates.
 ///
 /// The engine executes every operation functionally on host memory. When a
 /// `sim::SimContext` is attached, each operation additionally feeds the
@@ -35,11 +34,10 @@ using Preg = int;
 /// with no context attached they compile to a register check and a plain
 /// lane loop inside the calling kernel. Their instrumentation (the timing
 /// model, note_vmem, note_scalar_mem) is out of line and runs only when
-/// `ctx_ != nullptr`. Gathers, predicated ops and permutes are out of line.
+/// `ctx_ != nullptr`. Strided loads, gathers and permutes are out of line.
 class VectorEngine {
  public:
   static constexpr unsigned kNumVregs = 32;
-  static constexpr unsigned kNumPregs = 16;
 
   /// Functional-only engine with the given hardware vector length.
   explicit VectorEngine(unsigned vlen_bits);
@@ -51,24 +49,16 @@ class VectorEngine {
   [[nodiscard]] std::size_t vlmax() const { return vlen_bits_ / 32; }
   [[nodiscard]] sim::SimContext* context() const { return ctx_; }
 
-  // ---------------- RVV-style strip mining ----------------
+  // ---------------- strip mining ----------------
 
   /// `vsetvl`: returns the granted vector length min(requested, VLMAX) and
-  /// makes it the implicit element count of subsequent unpredicated ops.
+  /// makes it the implicit element count of subsequent ops.
   std::size_t setvl(std::size_t requested) {
     gvl_ = std::min(requested, vlmax());
     if (ctx_ != nullptr) ctx_->timing().vop(sim::VopClass::SetVl, -1, {}, 0);
     return gvl_;
   }
   [[nodiscard]] std::size_t gvl() const { return gvl_; }
-
-  // ---------------- SVE-style predication ----------------
-
-  /// `whilelt p, i, n`: lane l is active iff i + l < n. Returns active count.
-  std::size_t whilelt(Preg p, std::size_t i, std::size_t n);
-  /// `ptrue`: all VLMAX lanes active.
-  void ptrue(Preg p);
-  [[nodiscard]] std::size_t active_lanes(Preg p) const;
 
   // ---------------- memory operations ----------------
 
@@ -90,21 +80,15 @@ class VectorEngine {
     if (ctx_ != nullptr)
       note_vmem(sim::VopClass::Store, -1, {vs}, gvl_, dst, bytes, true);
   }
-  /// Predicated unit-stride load/store (SVE): inactive lanes are zeroed /
-  /// skipped.
-  void vload_pred(Vreg vd, Preg p, const float* src);
-  void vstore_pred(Vreg vs, Preg p, float* dst);
-  /// Strided load/store (stride in elements); gvl() elements.
+  /// Strided load (stride in elements); gvl() elements.
   void vload_strided(Vreg vd, const float* base, std::ptrdiff_t stride_elems);
-  void vstore_strided(Vreg vs, float* base, std::ptrdiff_t stride_elems);
-  /// Gather / scatter with per-element indices (in elements from base).
+  /// Gather with per-element indices (in elements from base).
   void vgather(Vreg vd, const float* base, const std::int32_t* indices);
-  void vscatter(Vreg vs, float* base, const std::int32_t* indices);
 
   /// Structured gather/scatter over a small cache-resident region — the
   /// cost model of SVE tuple loads + register transposes (ld4/st4 + trn/zip,
-  /// the intrinsics the paper's Winograd uses, §IV-B/§VII). Functionally
-  /// identical to vgather/vscatter; billed as one unit-stride access over
+  /// the intrinsics the paper's Winograd uses, §IV-B/§VII). Functionally an
+  /// indexed gather / scatter; billed as one unit-stride access over
   /// the touched footprint plus an in-register permute, instead of
   /// per-element address generation.
   void vgather_local(Vreg vd, const float* base, const std::int32_t* indices);
@@ -139,10 +123,7 @@ class VectorEngine {
 
   /// vd[i] = a[i] + b[i], etc. All use gvl() elements.
   VLACNN_DEFINE_BINOP(vadd, a[l] + b[l])
-  VLACNN_DEFINE_BINOP(vsub, a[l] - b[l])
   VLACNN_DEFINE_BINOP(vmul, a[l] * b[l])
-  VLACNN_DEFINE_BINOP(vdiv, a[l] / b[l])
-  VLACNN_DEFINE_BINOP(vmax, std::max(a[l], b[l]))
   VLACNN_DEFINE_BINOP(vmin, std::min(a[l], b[l]))
 #undef VLACNN_DEFINE_BINOP
 
@@ -190,22 +171,10 @@ class VectorEngine {
   VLACNN_DEFINE_SCALAR_OP(vmax_scalar, std::max(a[l], b))
 #undef VLACNN_DEFINE_SCALAR_OP
 
-  /// Predicated FMA (SVE): only active lanes update.
-  void vfma_pred(Vreg vacc, Preg p, Vreg va, Vreg vb);
-  void vfma_scalar_pred(Vreg vacc, Preg p, float a, Vreg vb);
-
-  /// Horizontal sum of gvl() elements.
-  float vredsum(Vreg v);
-  float vredmax(Vreg v);
-
   // ---------------- permutes (Winograd transposes) ----------------
 
   /// vd[i] = vs[idx[i]] for gvl() elements (tbl / vrgather).
   void vpermute(Vreg vd, Vreg vs, const std::int32_t* idx);
-  /// Interleave even/odd (zip1/zip2-like) helpers used by the Winograd
-  /// tuple transpose.
-  void vzip_lo(Vreg vd, Vreg va, Vreg vb);
-  void vzip_hi(Vreg vd, Vreg va, Vreg vb);
 
   // ---------------- scalar-side accounting ----------------
 
@@ -250,17 +219,11 @@ class VectorEngine {
     VLACNN_REQUIRE(v >= 0 && v < static_cast<int>(kNumVregs),
                    "vector register out of range");
   }
-  void check_preg(Preg p) const;
 
   // Instrumentation hooks: called only with a context attached.
-  void note_vop(sim::VopClass cls, int dst, std::initializer_list<int> srcs,
-                std::size_t elements);
   void note_vmem(sim::VopClass cls, int dst, std::initializer_list<int> srcs,
                  std::size_t elements, const void* addr, std::size_t bytes,
                  bool write);
-  void note_vmem_strided(sim::VopClass cls, int dst, const void* base,
-                         std::ptrdiff_t stride_bytes, std::size_t n,
-                         bool write);
   void note_scalar_mem(const void* addr, std::size_t bytes, bool write);
 
   /// Counts `bytes` toward the functional traffic totals.
@@ -276,8 +239,7 @@ class VectorEngine {
   std::size_t gvl_;
   std::uint64_t bytes_read_ = 0;
   std::uint64_t bytes_written_ = 0;
-  std::vector<float> regfile_;               // kNumVregs * vlmax()
-  std::vector<std::uint8_t> predfile_;       // kNumPregs * vlmax()
+  std::vector<float> regfile_;  // kNumVregs * vlmax()
 };
 
 }  // namespace vlacnn::vla

@@ -62,14 +62,6 @@ class WinogradConv {
 
   [[nodiscard]] WeightCache& weight_cache() { return *cache_; }
 
-  // ---- exposed for unit tests and benchmarks ----
-  /// Transformed-weight tensor handle: U[(oc*in_c + ic)*64 + e] in the
-  /// internally transposed element orientation.
-  const float* transformed_weights(const dnn::ConvDesc& d,
-                                   const float* weights) {
-    return cache_->get(d, weights);
-  }
-
  private:
   struct Plan {
     int tiles_x = 0, tiles_y = 0, tiles = 0;

@@ -62,12 +62,16 @@ TEST(MachineConfig, WithVlenValidates) {
 }
 
 TEST(MachineConfig, WithL2SizeAdjustsLatencyModel) {
-  const MachineConfig c = rvv_gem5();
-  // Paper methodology: constant low latency (12 cycles @ CACTI-extrapolated).
-  EXPECT_EQ(c.with_l2_size(256ull << 20).l2.latency_cycles, 12u);
-  EXPECT_EQ(l2_latency_for_size(1 << 20, L2LatencyModel::kConstant), 12u);
-  // CACTI-like ablation model grows with capacity.
-  EXPECT_GT(l2_latency_for_size(256ull << 20, L2LatencyModel::kCactiLike), 12u);
+  // Paper methodology: resizing the L2 keeps the preset's latency (12
+  // cycles on the gem5 presets, CACTI-extrapolated) — it never resets it
+  // to another preset's value.
+  const MachineConfig rvv = rvv_gem5().with_l2_size(256ull << 20);
+  EXPECT_EQ(rvv.l2.size_bytes, 256ull << 20);
+  EXPECT_EQ(rvv.l2.latency_cycles, 12u);
+  // A64FX at its own 8 MiB L2 keeps its 40-cycle latency.
+  const MachineConfig fx = a64fx().with_l2_size(8ull << 20);
+  EXPECT_EQ(fx.l2.size_bytes, 8ull << 20);
+  EXPECT_EQ(fx.l2.latency_cycles, 40u);
 }
 
 TEST(MachineConfig, ElementsPerVreg) {

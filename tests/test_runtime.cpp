@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -42,7 +43,15 @@ TEST(ThreadPool, PostedTasksAllRunOnWorkers) {
 
 // The cap is checked before any worker spawns, so cap + 1 starts no thread.
 TEST(ThreadPool, ExplicitCountAboveCapThrowsBeforeSpawning) {
-  EXPECT_THROW(ThreadPool pool(ThreadPool::kMaxThreads + 1), InvalidArgument);
+  // The message names the check's file relative to the repository root.
+  try {
+    ThreadPool pool(ThreadPool::kMaxThreads + 1);
+    ADD_FAILURE() << "no exception";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find(" at src/runtime/thread_pool.cpp:"),
+              std::string::npos)
+        << e.what();
+  }
   core::ConvolutionEngine engine(core::EnginePolicy::opt6loop());
   SchedulerConfig cfg;
   cfg.threads = ThreadPool::kMaxThreads + 1;

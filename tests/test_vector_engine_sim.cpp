@@ -35,10 +35,10 @@ TEST(EngineSim, NumericsIdenticalWithAndWithoutSim) {
       eng.vadd_scalar(3, 2, 1.0f);
       eng.vmax_scalar(3, 3, 0.5f);
       eng.vadd(4, 1, 3);
-      eng.vsub(4, 4, 0);
+      eng.vadd(4, 4, 0);
       eng.vmul(4, 4, 2);
-      eng.vdiv(6, 4, 5);
-      eng.vmax(7, 6, 0);
+      eng.vmul(6, 4, 5);
+      eng.vmin(7, 6, 5);
       eng.vmin(8, 6, 0);
       eng.vstore(1, out.data() + i);
       eng.vstore(6, out.data() + src.size() + i);
