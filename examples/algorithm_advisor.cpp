@@ -17,7 +17,7 @@
 // analytic argmax matches the simulated one on every layer AND analytic
 // planning ran >= 100x faster — the CI agreement gate.
 //
-//   ./algorithm_advisor [--model=yolov3|tiny|vgg16] [--input=64]
+//   ./algorithm_advisor [--model=yolo|tiny|vgg] [--input=64]
 //                       [--layers=16] [--machine=a64fx|rvv|sve] [--vlen=N]
 //                       [--cost=sim|analytic|both] [--check] [--batch=4]
 
@@ -26,7 +26,6 @@
 #include <string>
 
 #include "common/cli.hpp"
-#include "common/error.hpp"
 #include "common/table.hpp"
 #include "core/selector.hpp"
 #include "dnn/models.hpp"
@@ -63,8 +62,8 @@ void print_selector_stats(const core::SelectorStats& st, const char* label) {
 
 int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
-  const std::string model = args.get("model", "yolov3");
-  const int input = static_cast<int>(args.get_int("input", 64));
+  const std::string model = args.get("model", "yolo");
+  const int requested_input = static_cast<int>(args.get_int("input", 64));
   const int layers = static_cast<int>(args.get_int("layers", 16));
   const std::string machine_name = args.get("machine", "a64fx");
   const auto vlen = static_cast<unsigned>(args.get_int("vlen", 0));
@@ -75,15 +74,10 @@ int main(int argc, char** argv) try {
   sim::MachineConfig machine = sim::machine_by_name(machine_name);
   if (vlen != 0) machine = machine.with_vlen(vlen);
 
-  std::unique_ptr<dnn::Network> net;
-  if (model == "yolov3")
-    net = dnn::build_yolov3(input, layers);
-  else if (model == "tiny")
-    net = dnn::build_yolov3_tiny(input, layers);
-  else if (model == "vgg16")
-    net = dnn::build_vgg16(input, layers);
-  else
-    throw InvalidArgument("--model=" + model + ": expected yolov3|tiny|vgg16");
+  dnn::warn_if_input_resized(model, requested_input);
+  std::unique_ptr<dnn::Network> net =
+      dnn::build_model(model, requested_input, layers);
+  const int input = net->in_h();
 
   std::printf("algorithm advisor: %s (%zu conv layers) at %dx%d on %s "
               "[cost=%s]\n\n",

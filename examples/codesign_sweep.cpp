@@ -3,7 +3,7 @@
 // grid of cycles — the tool a hardware architect would use to pick design
 // points, built from the same API as the paper-reproduction benches.
 //
-//   ./codesign_sweep [--model=yolov3|tiny|vgg16] [--input=64] [--layers=12]
+//   ./codesign_sweep [--model=yolo|tiny|vgg] [--input=64] [--layers=12]
 //                    [--machine=rvv|sve|a64fx] [--winograd]
 
 #include <cstdio>
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/cli.hpp"
-#include "common/error.hpp"
 #include "common/table.hpp"
 #include "core/codesign.hpp"
 #include "dnn/models.hpp"
@@ -20,11 +19,12 @@ using namespace vlacnn;
 
 int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
-  const std::string model = args.get("model", "yolov3");
-  if (model != "yolov3" && model != "tiny" && model != "vgg16")
-    throw InvalidArgument("--model=" + model + ": expected yolov3|tiny|vgg16");
-  const int input = static_cast<int>(args.get_int("input", 64));
+  const std::string model = args.get("model", "yolo");
+  const int requested_input = static_cast<int>(args.get_int("input", 64));
   const int layers = static_cast<int>(args.get_int("layers", 12));
+  dnn::warn_if_input_resized(model, requested_input);
+  // Builds once up front so an unknown --model fails before the sweep.
+  const int input = dnn::build_model(model, requested_input, layers)->in_h();
   const std::string machine_name = args.get("machine", "rvv");
   const bool winograd = args.get_bool("winograd", false);
 
@@ -36,11 +36,6 @@ int main(int argc, char** argv) try {
   std::erase_if(vlens, [&](unsigned vl) { return vl > base.max_vlen_bits; });
   const std::vector<std::uint64_t> l2s = {1ull << 20, 8ull << 20, 64ull << 20};
 
-  auto build = [&]() -> std::unique_ptr<dnn::Network> {
-    if (model == "tiny") return dnn::build_yolov3_tiny(input, layers);
-    if (model == "vgg16") return dnn::build_vgg16(input, layers);
-    return dnn::build_yolov3(input, layers);
-  };
   const core::EnginePolicy policy = winograd ? core::EnginePolicy::winograd()
                                              : core::EnginePolicy::opt3loop();
 
@@ -56,7 +51,7 @@ int main(int argc, char** argv) try {
   for (unsigned vl : vlens) {
     std::vector<std::string> row = {std::to_string(vl) + "-bit"};
     for (auto l2 : l2s) {
-      auto net = build();
+      auto net = dnn::build_model(model, input, layers);
       const core::RunResult r =
           core::run_simulated(*net, base.with_vlen(vl).with_l2_size(l2), policy);
       row.push_back(Table::fmt(static_cast<double>(r.cycles) / 1e6, 1));

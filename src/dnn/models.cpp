@@ -213,12 +213,13 @@ void warn_if_input_resized(const std::string& model, int requested_hw) {
 }
 
 std::unique_ptr<Network> build_model(const std::string& model,
-                                     int requested_hw, std::uint64_t seed) {
+                                     int requested_hw, int max_layers,
+                                     std::uint64_t seed) {
   const int hw = model_input_hw(model, requested_hw);
-  if (model == "vgg") return build_vgg16(hw, -1, seed);
-  if (model == "yolo") return build_yolov3(hw, -1, seed);
+  if (model == "vgg") return build_vgg16(hw, max_layers, seed);
+  if (model == "yolo") return build_yolov3(hw, max_layers, seed);
   VLACNN_REQUIRE(model == "tiny", "unknown model (tiny|vgg|yolo): " + model);
-  return build_yolov3_tiny(hw, -1, seed);
+  return build_yolov3_tiny(hw, max_layers, seed);
 }
 
 }  // namespace vlacnn::dnn

@@ -50,10 +50,11 @@ int model_input_hw(const std::string& model, int requested_hw);
 /// --model/--input flags so the rounding is never silent.
 void warn_if_input_resized(const std::string& model, int requested_hw);
 
-/// Builds "tiny" | "vgg" | "yolo" at model_input_hw(model, requested_hw).
-/// Throws InvalidArgument for an unknown model name.
+/// Builds "tiny" | "vgg" | "yolo" at model_input_hw(model, requested_hw),
+/// truncated to its first `max_layers` layers (-1: all of them). Throws
+/// InvalidArgument for an unknown model name.
 std::unique_ptr<Network> build_model(const std::string& model,
-                                     int requested_hw,
+                                     int requested_hw, int max_layers = -1,
                                      std::uint64_t seed = 1234);
 
 }  // namespace vlacnn::dnn

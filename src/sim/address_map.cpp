@@ -8,11 +8,6 @@
 
 namespace vlacnn::sim {
 
-AddressMap& AddressMap::instance() {
-  static AddressMap map;
-  return map;
-}
-
 std::uint64_t AddressMap::register_range(const void* host, std::uint64_t bytes) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto base = reinterpret_cast<std::uint64_t>(host);

@@ -36,7 +36,10 @@ struct TranslationMemo {
 /// first-seen order, which keeps them from aliasing registered buffers.
 class AddressMap {
  public:
-  static AddressMap& instance();
+  static AddressMap& instance() {
+    static AddressMap map;
+    return map;
+  }
 
   /// Registers [host, host+bytes) and returns the simulated base address.
   std::uint64_t register_range(const void* host, std::uint64_t bytes);

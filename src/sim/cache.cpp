@@ -33,24 +33,22 @@ CacheModel::CacheModel(const CacheConfig& cfg)
 void CacheModel::fill(std::size_t base, std::uint64_t tag, bool dirty) {
   // Victim: the first invalid way; once the whole cache is valid (lines are
   // never invalidated short of reset()), the least recently used way.
-  std::size_t i = base + assoc_;
-  if (valid_lines_ < lines_) {
-    const std::uint64_t* tags = tags_.data() + base;
-    i = base + static_cast<std::size_t>(
-                   std::find(tags, tags + assoc_, kInvalidTag) - tags);
-  }
-  if (i == base + assoc_) {
-    const std::uint64_t* stamps = stamps_.data() + base;
-    i = base + static_cast<std::size_t>(
-                   std::min_element(stamps, stamps + assoc_) - stamps);
+  std::uint64_t* tags = ways_.data() + base;
+  std::uint64_t* stamps = tags + assoc_;
+  unsigned w = assoc_;
+  if (valid_lines_ < lines_)
+    w = static_cast<unsigned>(std::find(tags, tags + assoc_, kInvalidTag) -
+                              tags);
+  if (w == assoc_) {
+    w = static_cast<unsigned>(std::min_element(stamps, stamps + assoc_) -
+                              stamps);
     ++stats_.evictions;
-    if (dirty_[i] != 0) ++stats_.writebacks;
+    if ((stamps[w] & 1) != 0) ++stats_.writebacks;
   } else {
     ++valid_lines_;
   }
-  tags_[i] = tag;
-  stamps_[i] = ++stamp_;
-  dirty_[i] = static_cast<std::uint8_t>(dirty);
+  tags[w] = tag;
+  stamps[w] = (++stamp_ << 1) | static_cast<std::uint64_t>(dirty);
 }
 
 bool CacheModel::prefetch_fill(std::uint64_t addr) {
@@ -65,9 +63,7 @@ bool CacheModel::prefetch_fill(std::uint64_t addr) {
 void CacheModel::reset() {
   // Fresh zeroed pages rather than a fill: the pages a run touched go back
   // to the host instead of being rewritten.
-  tags_ = PageArray<std::uint64_t>(lines_);
-  stamps_ = PageArray<std::uint64_t>(lines_);
-  dirty_ = PageArray<std::uint8_t>(lines_);
+  ways_ = PageArray<std::uint64_t>(2 * lines_);
   valid_lines_ = 0;
   stamp_ = 0;
   stats_.reset();

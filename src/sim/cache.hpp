@@ -27,12 +27,14 @@ struct CacheStats {
 /// replacement. Simulates tag state only — data always lives in host memory
 /// (the functional VLA engine reads/writes host buffers directly).
 ///
-/// Tags, LRU stamps and dirty bits are separate arrays (row-major by set),
-/// so the hit path scans one contiguous run of tags. A way's tag is its
-/// line number + 1, so the sentinel 0 marks an invalid way and a zeroed
-/// array is an empty cache. The arrays are PageArrays: the host backs only
-/// the sets a run touches (a 256 MB L2 has 4M lines). A stamp or dirty byte
-/// is read only after its way was filled.
+/// Each set is `assoc` tags followed by `assoc` LRU stamps in one array, so
+/// a lookup touches one host cache line (or two adjacent ones) however
+/// large the simulated cache. A way's tag is its line number + 1, so the
+/// sentinel 0 marks an invalid way and a zeroed array is an empty cache. A
+/// stamp is (access counter << 1) | dirty bit: the counters are distinct,
+/// so the smallest stamp is the least recently used way. The array is a
+/// PageArray: the host backs only the sets a run touches (a 256 MB L2 has
+/// 4M lines). A stamp is read only after its way was filled.
 class CacheModel {
  public:
   explicit CacheModel(const CacheConfig& cfg);
@@ -40,19 +42,27 @@ class CacheModel {
   /// Looks up (and on miss, fills) the line containing `addr`.
   /// `is_write` marks the line dirty; evicted dirty lines count writebacks.
   AccessResult access(std::uint64_t addr, bool is_write) {
+    if (access_if_hit(addr, is_write)) return AccessResult::Hit;
     ++stats_.accesses;
+    ++stats_.misses;
+    const std::uint64_t tag = tag_of(addr);
+    fill(set_base(tag), tag, is_write);
+    return AccessResult::Miss;
+  }
+
+  /// The hit path of access(): if the line containing `addr` is resident,
+  /// records the hit exactly as access() would and returns true; otherwise
+  /// touches nothing and returns false.
+  bool access_if_hit(std::uint64_t addr, bool is_write) {
     const std::uint64_t tag = tag_of(addr);
     const std::size_t base = set_base(tag);
     const int way = find_way(base, tag);
-    if (way >= 0) {
-      const std::size_t i = base + static_cast<unsigned>(way);
-      stamps_[i] = ++stamp_;
-      dirty_[i] |= static_cast<std::uint8_t>(is_write);
-      return AccessResult::Hit;
-    }
-    ++stats_.misses;
-    fill(base, tag, is_write);
-    return AccessResult::Miss;
+    if (way < 0) return false;
+    ++stats_.accesses;
+    std::uint64_t& stamp = ways_[base + assoc_ + static_cast<unsigned>(way)];
+    stamp = (++stamp_ << 1) | (stamp & 1) |
+            static_cast<std::uint64_t>(is_write);
+    return true;
   }
 
   /// Inserts the line without counting a demand access (prefetch fill).
@@ -78,16 +88,19 @@ class CacheModel {
   [[nodiscard]] std::uint64_t tag_of(std::uint64_t addr) const {
     return (addr >> line_shift_) + 1;
   }
-  /// Index of way 0 of the set holding `tag`.
+  /// Index of the first tag of the set holding `tag`.
   [[nodiscard]] std::size_t set_base(std::uint64_t tag) const {
-    return static_cast<std::size_t>((tag - 1) & set_mask_) * assoc_;
+    return static_cast<std::size_t>((tag - 1) & set_mask_) * (2 * assoc_);
   }
   /// Returns the way holding `tag` in the set starting at `base`, or -1.
+  /// Scans every way without an early exit: a set holds a tag at most
+  /// once, and which way hits is data the branch predictor cannot learn.
   [[nodiscard]] int find_way(std::size_t base, std::uint64_t tag) const {
-    const std::uint64_t* tags = tags_.data() + base;
+    const std::uint64_t* tags = ways_.data() + base;
+    int way = -1;
     for (unsigned w = 0; w < assoc_; ++w)
-      if (tags[w] == tag) return static_cast<int>(w);
-    return -1;
+      way = tags[w] == tag ? static_cast<int>(w) : way;
+    return way;
   }
   /// Evicts the victim of the set at `base` (first invalid way, else the
   /// smallest LRU stamp) and installs `tag` there.
@@ -97,10 +110,8 @@ class CacheModel {
   unsigned assoc_;
   unsigned line_shift_;
   std::uint64_t set_mask_;
-  std::size_t lines_;                // num_sets * assoc
-  PageArray<std::uint64_t> tags_;    // kInvalidTag = invalid way
-  PageArray<std::uint64_t> stamps_;  // larger = more recently used
-  PageArray<std::uint8_t> dirty_;
+  std::size_t lines_;              // num_sets * assoc
+  PageArray<std::uint64_t> ways_;  // per set: assoc tags, then assoc stamps
   std::size_t valid_lines_ = 0;  // lines are only invalidated by reset()
   std::uint64_t stamp_ = 0;
   CacheStats stats_;

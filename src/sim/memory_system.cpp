@@ -6,71 +6,41 @@
 
 namespace vlacnn::sim {
 
-namespace {
-CacheConfig vector_cache_config(const MachineConfig& cfg) {
-  // Small fully associative staging buffer between the VPU and L2.
-  CacheConfig vc;
-  vc.size_bytes = cfg.vector_cache_bytes;
-  vc.line_bytes = cfg.l2.line_bytes;
-  vc.associativity = static_cast<unsigned>(vc.size_bytes / vc.line_bytes);
-  vc.latency_cycles = 2;
-  return vc;
-}
-}  // namespace
-
 MemorySystem::MemorySystem(const MachineConfig& cfg)
     : cfg_(cfg),
       l1_(cfg.l1),
       l2_(cfg.l2),
       l1_line_shift_(static_cast<unsigned>(std::countr_zero(cfg.l1.line_bytes))),
-      l2_line_shift_(static_cast<unsigned>(std::countr_zero(cfg.l2.line_bytes))) {
-  if (cfg.isa == Isa::RiscvVector && cfg.vector_cache_bytes > 0)
-    vcache_ = std::make_unique<CacheModel>(vector_cache_config(cfg));
+      l2_line_shift_(static_cast<unsigned>(std::countr_zero(cfg.l2.line_bytes))),
+      scalar_one_step_(cfg.tlb_entries == 0 && !cfg.hw_prefetch) {
+  if (cfg.isa == Isa::RiscvVector && cfg.vector_cache_bytes > 0) {
+    // Small fully associative staging buffer between the VPU and L2, in
+    // L2-sized lines.
+    VLACNN_REQUIRE(cfg.vector_cache_bytes % cfg.l2.line_bytes == 0,
+                   "vector cache size must be a multiple of the L2 line");
+    vcache_.emplace(cfg.vector_cache_bytes / cfg.l2.line_bytes);
+  }
+  if (cfg.tlb_entries != 0) tlb_.emplace(cfg.tlb_entries);
   if (cfg.hw_prefetch)
     prefetcher_ = std::make_unique<StreamPrefetcher>(cfg.l2.line_bytes);
 }
 
-std::uint64_t MemorySystem::tlb_lookup(std::uint64_t addr) {
-  const std::uint64_t page = addr >> 12;
-  ++tlb_tick_;
-  for (auto& entry : tlb_) {
-    if (entry.first == page) {
-      entry.second = tlb_tick_;
-      return 0;
-    }
-  }
-  ++tlb_misses_;
-  if (tlb_.size() < cfg_.tlb_entries) {
-    tlb_.emplace_back(page, tlb_tick_);
-  } else {
-    auto lru = tlb_.begin();
-    for (auto it = tlb_.begin(); it != tlb_.end(); ++it)
-      if (it->second < lru->second) lru = it;
-    *lru = {page, tlb_tick_};
-  }
-  return cfg_.tlb_miss_cycles;
-}
-
-MemCost MemorySystem::touch_l2_line(std::uint64_t addr, bool write) {
-  // Note: `lines` stays 0 — this is the same line the upstream level
+inline bool MemorySystem::touch_l2_line(std::uint64_t addr, bool write,
+                                        MemCost& cost) {
+  // `lines` stays as it is: this is the same line the upstream level
   // already counted, not additional traffic.
-  MemCost cost;
-  if (l2_.access(addr, write) == AccessResult::Hit) {
-    cost.overlappable_cycles = cfg_.l2.latency_cycles;
-  } else {
-    cost.overlappable_cycles = cfg_.l2.latency_cycles + cfg_.dram_latency_cycles;
-    cost.dram_lines = 1;
-    ++dram_lines_;
-    if (!watches_.empty()) {
-      for (const auto& [base, end] : watches_) {
-        if (addr >= base && addr < end) {
-          ++watched_dram_lines_;
-          break;
-        }
-      }
+  cost.overlappable_cycles += cfg_.l2.latency_cycles;
+  if (l2_.access(addr, write) == AccessResult::Hit) return false;
+  cost.overlappable_cycles += cfg_.dram_latency_cycles;
+  ++cost.dram_lines;
+  ++dram_lines_;
+  for (const auto& [base, end] : watches_) {
+    if (addr >= base && addr < end) {
+      ++watched_dram_lines_;
+      break;
     }
   }
-  return cost;
+  return true;
 }
 
 void MemorySystem::add_dram_watch(std::uint64_t sim_base,
@@ -79,33 +49,22 @@ void MemorySystem::add_dram_watch(std::uint64_t sim_base,
   watches_.emplace_back(sim_base, sim_base + bytes);
 }
 
-MemCost MemorySystem::touch_vector_line(std::uint64_t addr, bool write) {
-  MemCost cost;
-  cost.lines = 1;
+// Inlined into the per-line loops of vector_access and
+// vector_access_strided.
+[[gnu::always_inline]] inline void MemorySystem::touch_vector_line(
+    std::uint64_t addr, bool write, MemCost& cost) {
   if (vcache_) {
     // RVV path: VectorCache -> L2 -> DRAM. L1 is bypassed entirely.
-    if (vcache_->access(addr, write) == AccessResult::Hit) {
-      cost.serial_cycles = vcache_->config().latency_cycles;
-      return cost;
-    }
-    cost.serial_cycles = vcache_->config().latency_cycles;
-    cost += touch_l2_line(addr, write);
-    return cost;
+    if (vcache_->access(addr >> l2_line_shift_, write) == AccessResult::Miss)
+      touch_l2_line(addr, write, cost);
+    return;
   }
   // SVE path: L1 -> L2 -> DRAM.
   if (prefetcher_) prefetcher_->observe(addr, l1_);
-  if (l1_.access(addr, write) == AccessResult::Hit) {
-    cost.serial_cycles = cfg_.l1.latency_cycles;
-    return cost;
-  }
-  cost.serial_cycles = cfg_.l1.latency_cycles;
-  MemCost below = touch_l2_line(addr, write);
-  if (prefetcher_ && below.dram_lines > 0) {
-    // A64FX also trains its L2 prefetch engine on L2 misses.
+  if (l1_.access(addr, write) == AccessResult::Hit) return;
+  // A64FX also trains its L2 prefetch engine on L2 misses.
+  if (touch_l2_line(addr, write, cost) && prefetcher_)
     prefetcher_->observe(addr, l2_);
-  }
-  cost += below;
-  return cost;
 }
 
 MemCost MemorySystem::vector_access(std::uint64_t addr, std::uint64_t bytes,
@@ -116,15 +75,15 @@ MemCost MemorySystem::vector_access(std::uint64_t addr, std::uint64_t bytes,
   const std::uint64_t last = (addr + bytes - 1) >> shift;
   MemCost total;
   for (std::uint64_t ln = first; ln <= last; ++ln)
-    total += touch_vector_line(ln << shift, write);
+    touch_vector_line(ln << shift, write, total);
+  total.lines = last - first + 1;
   // Contiguous lines stream out of the entry-level cache at one line per
-  // cycle after the first; the per-line entry latencies accumulated above
-  // over-count that pipelining, so rebase the serial part.
-  const unsigned entry_lat = vcache_ ? vcache_->config().latency_cycles
-                                     : cfg_.l1.latency_cycles;
+  // cycle after the first.
+  const unsigned entry_lat =
+      vcache_ ? kVectorCacheLatency : cfg_.l1.latency_cycles;
   total.serial_cycles = entry_lat + (total.lines - 1);
   // Address translation: one lookup per page touched.
-  if (cfg_.tlb_entries != 0)
+  if (tlb_)
     for (std::uint64_t page = addr >> 12; page <= (addr + bytes - 1) >> 12;
          ++page)
       total.translation_cycles += tlb_lookup(page << 12);
@@ -144,14 +103,14 @@ MemCost MemorySystem::vector_access_strided(std::uint64_t base,
   MemCost total;
   std::uint64_t addr = base;
   for (std::uint64_t i = 0; i < n; ++i) {
-    MemCost c = touch_vector_line(addr, write);
-    if (cfg_.tlb_entries != 0) c.translation_cycles += tlb_lookup(addr);
-    total += c;
+    touch_vector_line(addr, write, total);
+    if (tlb_) total.translation_cycles += tlb_lookup(addr);
     addr = static_cast<std::uint64_t>(static_cast<std::int64_t>(addr) + stride_bytes);
   }
-  const unsigned entry_lat = vcache_ ? vcache_->config().latency_cycles
-                                     : cfg_.l1.latency_cycles;
-  total.serial_cycles = entry_lat + (total.lines > 0 ? total.lines - 1 : 0);
+  total.lines = n;
+  const unsigned entry_lat =
+      vcache_ ? kVectorCacheLatency : cfg_.l1.latency_cycles;
+  total.serial_cycles = entry_lat + (n > 0 ? n - 1 : 0);
   (void)elem_bytes;
   return total;
 }
@@ -163,17 +122,12 @@ MemCost MemorySystem::scalar_access(std::uint64_t addr, std::uint64_t bytes,
   MemCost total;
   for (std::uint64_t ln = first; ln <= last; ++ln) {
     const std::uint64_t a = ln << l1_line_shift_;
-    MemCost c;
-    c.lines = 1;
-    if (cfg_.tlb_entries != 0) c.translation_cycles = tlb_lookup(a);
+    ++total.lines;
+    total.serial_cycles += cfg_.l1.latency_cycles;
+    if (tlb_) total.translation_cycles += tlb_lookup(a);
     if (prefetcher_) prefetcher_->observe(a, l1_);
-    if (l1_.access(a, write) == AccessResult::Hit) {
-      c.serial_cycles = cfg_.l1.latency_cycles;
-    } else {
-      c.serial_cycles = cfg_.l1.latency_cycles;
-      c += touch_l2_line(a, write);
-    }
-    total += c;
+    if (l1_.access(a, write) == AccessResult::Miss)
+      touch_l2_line(a, write, total);
   }
   return total;
 }
@@ -199,12 +153,10 @@ void MemorySystem::reset() {
   l1_.reset();
   l2_.reset();
   if (vcache_) vcache_->reset();
+  if (tlb_) tlb_->reset();
   if (prefetcher_) prefetcher_->reset();
   dram_lines_ = 0;
   watched_dram_lines_ = 0;  // watch windows are configuration: kept
-  tlb_.clear();
-  tlb_tick_ = 0;
-  tlb_misses_ = 0;
 }
 
 }  // namespace vlacnn::sim

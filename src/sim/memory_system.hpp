@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "sim/cache.hpp"
+#include "sim/fully_associative_lru.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/prefetcher.hpp"
 
@@ -56,6 +57,16 @@ class MemorySystem {
   /// Simulates a scalar load/store through L1.
   MemCost scalar_access(std::uint64_t addr, std::uint64_t bytes, bool write);
 
+  /// The inline hit path of scalar_access: if the access is one line, the
+  /// machine has no TLB and no prefetcher, and the line is in L1, records
+  /// the hit exactly as scalar_access would and returns true (its cost is
+  /// one line at L1 latency). Otherwise touches nothing and returns false.
+  bool scalar_hit(std::uint64_t addr, std::uint64_t bytes, bool write) {
+    return scalar_one_step_ &&
+           bytes - 1 < cfg_.l1.line_bytes - (addr & (cfg_.l1.line_bytes - 1)) &&
+           l1_.access_if_hit(addr, write);
+  }
+
   /// Software prefetch of [addr, addr+bytes) into L1 (`level`==1) or L2.
   /// A no-op unless the machine honours prefetch instructions (paper §IV-A:
   /// RVV lacks them; gem5's SVE model treats them as no-ops; A64FX honours
@@ -74,7 +85,9 @@ class MemorySystem {
     return prefetcher_ ? &prefetcher_->stats() : nullptr;
   }
   [[nodiscard]] std::uint64_t dram_line_fills() const { return dram_lines_; }
-  [[nodiscard]] std::uint64_t tlb_misses() const { return tlb_misses_; }
+  [[nodiscard]] std::uint64_t tlb_misses() const {
+    return tlb_ ? tlb_->stats().misses : 0;
+  }
   [[nodiscard]] const MachineConfig& config() const { return cfg_; }
 
   /// DRAM-fill attribution: fills whose line address falls inside any
@@ -89,30 +102,36 @@ class MemorySystem {
   }
 
  private:
-  /// Returns the page-walk penalty (0 on a TLB hit). Fully associative LRU
-  /// over 4 KiB pages. Callers skip it when TLB modelling is off
-  /// (`tlb_entries == 0`).
-  std::uint64_t tlb_lookup(std::uint64_t addr);
-  /// Cost of touching one line on the vector path.
-  MemCost touch_vector_line(std::uint64_t addr, bool write);
-  /// Cost of an L2 lookup (after an upstream miss), including DRAM fill.
-  MemCost touch_l2_line(std::uint64_t addr, bool write);
+  /// Returns the page-walk penalty (0 on a TLB hit). Callers skip it when
+  /// TLB modelling is off (`tlb_entries == 0`).
+  std::uint64_t tlb_lookup(std::uint64_t addr) {
+    return tlb_->access(addr >> 12, false) == AccessResult::Hit
+               ? 0
+               : cfg_.tlb_miss_cycles;
+  }
+  /// Touches one line on the vector path; adds its below-entry cost (miss
+  /// penalties, DRAM fills) to `cost`. Leaves `serial_cycles` and `lines`
+  /// to the caller, which rebases them for the whole access.
+  void touch_vector_line(std::uint64_t addr, bool write, MemCost& cost);
+  /// An L2 lookup after an upstream miss, including the DRAM fill, added to
+  /// `cost`. Returns true if the line came from DRAM.
+  bool touch_l2_line(std::uint64_t addr, bool write, MemCost& cost);
+
+  /// The vector cache's hit latency (cycles).
+  static constexpr unsigned kVectorCacheLatency = 2;
 
   MachineConfig cfg_;
   CacheModel l1_;
   CacheModel l2_;
   unsigned l1_line_shift_;  // log2 line size (CacheModel checks pow2)
   unsigned l2_line_shift_;
-  std::unique_ptr<CacheModel> vcache_;          // RVV only
+  bool scalar_one_step_;    // no TLB and no prefetcher on the scalar path
+  std::optional<FullyAssociativeLru> vcache_;     // RVV only; keys are lines
+  std::optional<FullyAssociativeLru> tlb_;        // if tlb_entries; 4 KiB pages
   std::unique_ptr<StreamPrefetcher> prefetcher_;  // A64FX only
   std::uint64_t dram_lines_ = 0;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> watches_;  // [base,end)
   std::uint64_t watched_dram_lines_ = 0;
-
-  // TLB state: page number -> LRU stamp.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> tlb_;
-  std::uint64_t tlb_tick_ = 0;
-  std::uint64_t tlb_misses_ = 0;
 };
 
 }  // namespace vlacnn::sim

@@ -1,6 +1,7 @@
 #include "sim/timing_model.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -10,13 +11,15 @@ namespace vlacnn::sim {
 VectorTimingModel::VectorTimingModel(const MachineConfig& cfg)
     : cfg_(cfg),
       lanes_(std::max(1u, cfg.effective_lanes())),
+      lanes_shift_(std::has_single_bit(lanes_) ? std::countr_zero(lanes_) : -1),
       issue_width_(std::max(1u, cfg.issue_width)),
       mlp_(std::max(1u, cfg.mem_level_parallelism)),
       dispatch_(static_cast<std::uint64_t>(
           std::llround(cfg.vector_dispatch_cycles))),
       startup_(static_cast<std::uint64_t>(std::llround(
           cfg.startup_base_cycles +
-          cfg.startup_per_lane * cfg.effective_lanes()))) {
+          cfg.startup_per_lane * cfg.effective_lanes()))),
+      hit_stall_(1 / issue_width_) {
   pipe_free_.assign(std::max(1u, cfg.vector_pipes), 0);
   inflight_.assign(std::max(1u, cfg.inflight_window), 0);
 }
@@ -35,13 +38,15 @@ std::uint64_t VectorTimingModel::mem_exposed_cycles(const MemCost& cost) const {
          static_cast<std::uint64_t>(std::llround(std::max(overlapped, bw_floor)));
 }
 
-std::uint64_t VectorTimingModel::issue(int dst,
-                                       std::initializer_list<int> srcs,
-                                       std::uint64_t occupancy,
-                                       std::uint64_t extra_latency,
-                                       std::uint64_t elements, VopClass cls) {
-  // Earliest cycle all sources are ready.
-  std::uint64_t ready = issue_cycle_;
+// Inlined into vop and vmem, its only callers: one call per instruction.
+[[gnu::always_inline]] inline std::uint64_t VectorTimingModel::issue(
+    int dst, std::initializer_list<int> srcs, std::uint64_t occupancy,
+    std::uint64_t extra_latency, std::uint64_t elements, VopClass cls) {
+  // Earliest cycle all sources are ready. Members that are read and later
+  // written are copied to locals first: a store into the window could
+  // alias them, which makes the compiler reload them.
+  const std::uint64_t prev_issue = issue_cycle_;
+  std::uint64_t ready = prev_issue;
   for (int s : srcs) {
     if (s < 0) continue;
     VLACNN_ASSERT(static_cast<unsigned>(s) < reg_ready_.size(), "bad src reg");
@@ -49,8 +54,8 @@ std::uint64_t VectorTimingModel::issue(int dst,
   }
   // Bounded in-flight window: cannot run further ahead than the completion
   // of the instruction issued `window` slots ago.
-  ready = std::max(ready, inflight_[inflight_pos_]);
-  const std::uint64_t prev_issue = issue_cycle_;
+  const std::size_t pos = inflight_pos_;
+  ready = std::max(ready, inflight_[pos]);
 
   // Memory instructions execute on the load/store port (vector units have
   // dedicated load pipes); arithmetic executes on the FMA pipes. Both pay
@@ -60,6 +65,11 @@ std::uint64_t VectorTimingModel::issue(int dst,
   std::uint64_t start;
   if (is_mem) {
     start = std::max(ready, mem_port_free_);
+    // Pipelined cache port: busy for the transfer occupancy only; access
+    // latency (serial/miss/translation) is charged to the instruction's
+    // completion and overlaps with later independent memory instructions
+    // (bounded by the in-flight window and the register scoreboard).
+    mem_port_free_ = start + occupancy + dispatch_;
   } else {
     auto pipe = std::min_element(pipe_free_.begin(), pipe_free_.end());
     start = std::max(ready, *pipe);
@@ -68,19 +78,12 @@ std::uint64_t VectorTimingModel::issue(int dst,
 
   const std::uint64_t done = start + startup_ + occupancy + extra_latency;
 
-  if (is_mem) {
-    // Pipelined cache port: busy for the transfer occupancy only; access
-    // latency (serial/miss/translation) is charged to the instruction's
-    // completion and overlaps with later independent memory instructions
-    // (bounded by the in-flight window and the register scoreboard).
-    mem_port_free_ = start + occupancy + dispatch_;
-  }
   if (dst >= 0) {
     VLACNN_ASSERT(static_cast<unsigned>(dst) < reg_ready_.size(), "bad dst reg");
     reg_ready_[static_cast<unsigned>(dst)] = done;
   }
-  inflight_[inflight_pos_] = done;
-  if (++inflight_pos_ == inflight_.size()) inflight_pos_ = 0;
+  inflight_[pos] = done;
+  inflight_pos_ = pos + 1 == inflight_.size() ? 0 : pos + 1;
 
   // Single issue advances a whole cycle per instruction (the fraction
   // below would step 0 -> 1 -> 0 exactly); wider issue accumulates it.
@@ -90,14 +93,13 @@ std::uint64_t VectorTimingModel::issue(int dst,
     issue_adv = static_cast<std::uint64_t>(issue_frac_);
     issue_frac_ -= static_cast<double>(issue_adv);
   }
-  if (cfg_.core == CoreKind::InOrder) {
-    // In-order issue: a stalled instruction blocks everything behind it.
-    issue_cycle_ = std::max(issue_cycle_ + issue_adv, start);
-  } else {
-    // OoO: dispatch proceeds at decode rate; dependent instructions wait in
-    // the window (bounded by `inflight_window`) without blocking issue.
-    issue_cycle_ += issue_adv;
-  }
+  // OoO: dispatch proceeds at decode rate; dependent instructions wait in
+  // the window (bounded by `inflight_window`) without blocking issue. In
+  // order, a stalled instruction blocks everything behind it.
+  std::uint64_t issue_cycle = prev_issue + issue_adv;
+  if (cfg_.core == CoreKind::InOrder)
+    issue_cycle = std::max(issue_cycle, start);
+  issue_cycle_ = issue_cycle;
   horizon_ = std::max(horizon_, done);
 
   ++stats_.vector_instructions;
@@ -109,14 +111,15 @@ std::uint64_t VectorTimingModel::issue(int dst,
     stats_.flops += 2 * elements;
   else if (cls == VopClass::Arith)
     stats_.flops += elements;
-  stats_.issue_stall_cycles += issue_cycle_ - std::min(issue_cycle_, prev_issue + 1);
+  stats_.issue_stall_cycles +=
+      issue_cycle - std::min(issue_cycle, prev_issue + 1);
   return done;
 }
 
 void VectorTimingModel::vop(VopClass cls, int dst,
                             std::initializer_list<int> srcs,
                             std::uint64_t elements) {
-  std::uint64_t occupancy = (elements + lanes_ - 1) / lanes_;
+  std::uint64_t occupancy = lane_cycles(elements);
   if (cls == VopClass::Permute)
     occupancy *= 2;  // cross-lane traffic halves throughput
   if (cls == VopClass::SetVl || cls == VopClass::Broadcast)
@@ -127,7 +130,7 @@ void VectorTimingModel::vop(VopClass cls, int dst,
 void VectorTimingModel::vmem(VopClass cls, int dst,
                              std::initializer_list<int> srcs,
                              std::uint64_t elements, const MemCost& cost) {
-  std::uint64_t occupancy = (elements + lanes_ - 1) / lanes_;
+  std::uint64_t occupancy = lane_cycles(elements);
   if (cls == VopClass::Gather)
     occupancy = std::max<std::uint64_t>(occupancy, elements);  // 1 elem/cycle
   const std::uint64_t stall = mem_exposed_cycles(cost);

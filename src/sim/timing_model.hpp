@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -78,6 +79,15 @@ class VectorTimingModel {
   /// Records a scalar memory access (through L1).
   void scalar_mem(const MemCost& cost);
 
+  /// scalar_mem() of a one-line L1 hit (MemorySystem::scalar_hit): it
+  /// takes a share of an issue slot and cannot stall on memory.
+  void scalar_hit() {
+    stats_.mem_stall_cycles += hit_stall_;
+    issue_cycle_ += hit_stall_;
+    horizon_ = std::max(horizon_, issue_cycle_);
+    ++stats_.scalar_ops;
+  }
+
   /// Advances the clock to the completion horizon and returns it.
   std::uint64_t finish();
 
@@ -90,14 +100,21 @@ class VectorTimingModel {
                       std::uint64_t occupancy, std::uint64_t extra_latency,
                       std::uint64_t elements, VopClass cls);
   [[nodiscard]] std::uint64_t mem_exposed_cycles(const MemCost& cost) const;
+  /// ceil(elements / lanes): cycles a vector op occupies its pipe.
+  [[nodiscard]] std::uint64_t lane_cycles(std::uint64_t elements) const {
+    const std::uint64_t e = elements + lanes_ - 1;
+    return lanes_shift_ >= 0 ? e >> lanes_shift_ : e / lanes_;
+  }
 
   MachineConfig cfg_;
   // Per-config constants, computed once in the constructor.
   unsigned lanes_;                 // max(1, effective lanes)
+  int lanes_shift_;                // log2(lanes_) if a power of two, else -1
   unsigned issue_width_;           // max(1, issue_width)
   unsigned mlp_;                   // max(1, mem_level_parallelism)
   std::uint64_t dispatch_;         // rounded vector_dispatch_cycles
   std::uint64_t startup_;          // rounded s0 + s1 * effective lanes
+  std::uint64_t hit_stall_;        // scalar_mem's stall for a one-line hit
 
   std::uint64_t issue_cycle_ = 0;
   std::array<std::uint64_t, kNumVregs> reg_ready_{};

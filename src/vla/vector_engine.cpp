@@ -150,8 +150,13 @@ void VectorEngine::vpermute(Vreg vd, Vreg vs, const std::int32_t* idx) {
 
 void VectorEngine::note_scalar_mem(const void* addr, std::size_t bytes,
                                    bool write) {
+  // One call per scalar access: the common L1 hit stays inline.
   const std::uint64_t sim_addr = sim::AddressMap::instance().translate(addr);
-  ctx_->timing().scalar_mem(ctx_->memory().scalar_access(sim_addr, bytes, write));
+  sim::MemorySystem& mem = ctx_->memory();
+  if (mem.scalar_hit(sim_addr, bytes, write))
+    ctx_->timing().scalar_hit();
+  else
+    ctx_->timing().scalar_mem(mem.scalar_access(sim_addr, bytes, write));
 }
 
 float VectorEngine::lane(Vreg v, std::size_t i) const {

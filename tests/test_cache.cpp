@@ -10,6 +10,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "sim/cache.hpp"
+#include "sim/fully_associative_lru.hpp"
 
 namespace vlacnn::sim {
 namespace {
@@ -276,6 +277,52 @@ TEST(CacheDifferential, VectorCacheGeometryMatchesOracle) {
   // The RVV vector cache: 2 KB, 64 B lines, fully associative (32 ways in
   // one set).
   run_differential(CacheConfig{2048, 32, 64, 2}, 14);
+}
+
+/// Drives FullyAssociativeLru (keyed by line number) and a one-set oracle
+/// of `entries` ways through the same stream: random lines from a
+/// footprint of about 3x the capacity, interleaved with a sequential sweep
+/// (the vector cache's streaming misses), writes when `writes` is set, and
+/// rare resets. Compares every hit/miss and, periodically, every stat.
+void run_lru_differential(unsigned entries, unsigned line_bytes, bool writes,
+                          std::uint64_t seed) {
+  FullyAssociativeLru lru(entries);
+  OracleCache oracle(CacheConfig{std::uint64_t{entries} * line_bytes, entries,
+                                 line_bytes, 1});
+  Rng rng(seed);
+  const std::uint64_t footprint = 3 * entries + 7;
+  std::uint64_t sweep = 0;
+  for (std::size_t step = 0; step < 60000; ++step) {
+    if (rng.next_below(1000) == 0) {
+      lru.reset();
+      oracle.reset();
+      continue;
+    }
+    const std::uint64_t line = rng.next_below(10) < 7
+                                   ? rng.next_below(footprint)
+                                   : footprint + sweep++;
+    const std::uint64_t addr =
+        0x10000 + line * line_bytes + rng.next_below(line_bytes);
+    const bool write = writes && rng.next_below(3) == 0;
+    ASSERT_EQ(lru.access(addr / line_bytes, write), oracle.access(addr, write))
+        << "access at step " << step;
+    if (step % 997 == 0) expect_same_stats(lru.stats(), oracle.stats(), step);
+  }
+  expect_same_stats(lru.stats(), oracle.stats(), 60000);
+}
+
+TEST(CacheDifferential, FullyAssociativeLruMatchesOracleAt32Entries) {
+  // The RVV vector cache: 32 lines of 64 B, dirty writebacks on eviction.
+  run_lru_differential(32, 64, true, 15);
+}
+
+TEST(CacheDifferential, FullyAssociativeLruMatchesOracleAt64Entries) {
+  // The A64FX TLB: 64 pages of 4 KiB, lookups only.
+  run_lru_differential(64, 4096, false, 16);
+}
+
+TEST(CacheDifferential, FullyAssociativeLruMatchesOracleAt1Entry) {
+  run_lru_differential(1, 64, true, 17);
 }
 
 }  // namespace

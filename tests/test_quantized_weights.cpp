@@ -250,8 +250,9 @@ TEST(QuantizedWeights, QuantizedConvMatchesFp32WithinPinnedGates) {
         max_ulp = std::max(max_ulp, ulp_diff(ref[i], out[i]));
     }
     EXPECT_LE(max_abs_err, c.rel_tol * max_abs_ref) << to_string(c.fmt);
-    if (c.fmt == PackFormat::Bf16)
+    if (c.fmt == PackFormat::Bf16) {
       EXPECT_LE(max_ulp, core::kBf16OutputMaxUlp);
+    }
     // int8: the classification proxy — per-position channel argmax survives
     // wherever the reference decides by more than the quantization error
     // bound. (A near-tie inside that bound can legitimately flip; the
@@ -266,9 +267,10 @@ TEST(QuantizedWeights, QuantizedConvMatchesFp32WithinPinnedGates) {
           if (ref[ch * hw + j] > ref[ra * hw + j]) ra = ch;
           if (out[ch * hw + j] > out[qa * hw + j]) qa = ch;
         }
-        if (ra != qa)
+        if (ra != qa) {
           EXPECT_LE(ref[ra * hw + j] - ref[qa * hw + j], margin)
               << "top-1 flipped across a decisive margin at position " << j;
+        }
       }
     }
   }
@@ -374,7 +376,9 @@ TEST(QuantizedWeights, SelectorAdmitsQuantizedOnlyUnderBudget) {
     for (const auto& e : plan.entries) {
       for (const auto& cand : e.candidates)
         if (core::backend_quantized(cand.first)) any_quantized_candidate = true;
-      if (core::backend_quantized(e.backend)) EXPECT_TRUE(e.weight_resident);
+      if (core::backend_quantized(e.backend)) {
+        EXPECT_TRUE(e.weight_resident);
+      }
     }
     // At least one format passes the pinned gates on this shape and must be
     // listed (bf16's gates are loose enough by construction; int8 may

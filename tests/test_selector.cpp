@@ -60,7 +60,9 @@ TEST(Selector, FusionNeverSimulatesSlowerThanItsUnfusedTwin) {
     ASSERT_GT(gemm6, 0u);
     ASSERT_GT(fused6, 0u);
     EXPECT_LT(fused6, gemm6) << e.layer_name;
-    if (wino != 0) EXPECT_LT(fwino, wino) << e.layer_name;
+    if (wino != 0) {
+      EXPECT_LT(fwino, wino) << e.layer_name;
+    }
   }
 }
 

@@ -158,6 +158,41 @@ TEST(SimGolden, RvvGem5At16384BitOpt6) {
                   });
 }
 
+TEST(SimGolden, RvvGem5At16384BitL2_256MB) {
+  // perfbench's rvv16k point: long vectors over a 256 MB L2, whose 4M
+  // lines the run touches only sparsely.
+  const MachineConfig rvv16k =
+      rvv_gem5().with_vlen(16384).with_l2_size(256ull << 20);
+  expect_snapshot(simulate(rvv16k, core::EnginePolicy::opt6loop()),
+                  {
+                      {"timing.cycles", 9190139},
+                      {"timing.vector_instructions", 174197},
+                      {"timing.scalar_ops", 190973},
+                      {"timing.elements", 31355840},
+                      {"timing.flops", 50135040},
+                      {"timing.vl_sample_count", 146916},
+                      {"timing.mem_stall_cycles", 8816768},
+                      {"timing.issue_stall_cycles", 8815717},
+                      {"l1.accesses", 82912},
+                      {"l1.misses", 176},
+                      {"l1.evictions", 20},
+                      {"l1.writebacks", 0},
+                      {"l1.prefetch_fills", 0},
+                      {"l2.accesses", 309718},
+                      {"l2.misses", 31814},
+                      {"l2.evictions", 0},
+                      {"l2.writebacks", 0},
+                      {"l2.prefetch_fills", 0},
+                      {"vcache.accesses", 509958},
+                      {"vcache.misses", 309542},
+                      {"vcache.evictions", 309510},
+                      {"vcache.writebacks", 128078},
+                      {"vcache.prefetch_fills", 0},
+                      {"dram_line_fills", 31814},
+                      {"tlb_misses", 0},
+                  });
+}
+
 TEST(SimGolden, SveGem5At2048BitWinograd) {
   expect_snapshot(simulate(sve_gem5().with_vlen(2048),
                            core::EnginePolicy::winograd()),
