@@ -1,24 +1,37 @@
 // The paper's evaluation as one table-driven harness: Figs. 6-10, Tables
-// II-IV and the §IV-B, §VI and §VII-A experiments behind its text.
+// II-IV and the §IV-B, §VI and §VII-A experiments behind its text, plus two
+// beyond-paper traffic figures (the fused conv pipeline and weight-resident
+// batch-fused execution).
 //
 //   bench_paper [--figure=<id>] [--input=N] [--vgg-input=N] [--quick]
 //               [--seed=S]
 //
-// With no --figure every figure runs. A figure is data: its (network,
-// machine, policy) points, its columns and baseline rule, and the paper's
-// claims with the paper's values. Points are keyed by the resulting machine
-// configuration, so a point several figures share is simulated once. Each
+// With no --figure every figure runs; any other flag exits 1. A figure is
+// data: its (network, machine, policy) points, its columns and baseline
+// rule, and the paper's claims with the paper's values. Points are keyed by
+// the resulting machine configuration, so a point several figures share is
+// simulated once. Each figure's caption states the scale it ran at. Each
 // claim prints PASS or DEVIATION; a deviation recorded in EXPERIMENTS.md is
 // tolerated, any other one makes the exit status 1.
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 
-#include "bench_common.hpp"
+#include "common/cli.hpp"
+#include "common/table.hpp"
 #include "core/codesign.hpp"
 #include "core/roofline.hpp"
+#include "core/selector.hpp"
+#include "dnn/layers.hpp"
+#include "dnn/models.hpp"
+#include "sim/address_map.hpp"
+#include "sim/sim_context.hpp"
 #include "winograd/variants.hpp"
 
 using namespace vlacnn;
@@ -29,6 +42,15 @@ using core::EnginePolicy;
 using core::RunResult;
 using sim::MachineConfig;
 using Labels = std::vector<std::string>;
+
+/// The harness's flags: network input resolutions (paper: YOLOv3 608x608,
+/// VGG16 224x224), trimmed sweeps for smoke runs, and the network seed.
+struct BenchOptions {
+  int input_hw = 96;
+  int vgg_input_hw = 64;
+  bool quick = false;
+  std::uint64_t seed = 1234;
+};
 
 enum class Net { Yolo20, Yolo4Conv, Yolo, Tiny, Vgg16 };
 
@@ -179,7 +201,253 @@ std::vector<unsigned> vlens(unsigned max_vl) {
   return v;
 }
 
-std::vector<Figure> figures(const bench::BenchOptions& o) {
+// ------------------------------------------------- beyond-paper figures
+
+/// x[i] of every row whose x `keep` accepts, as 1 / x[i] when `inverse`.
+Values where(std::function<bool(const std::vector<double>&)> keep,
+             std::size_t i, bool inverse = false) {
+  return [=](const Results& rs) {
+    std::vector<double> v;
+    for (const Result& r : rs)
+      if (keep(r.x)) v.push_back(inverse ? 1 / r.x[i] : r.x[i]);
+    return v;
+  };
+}
+
+std::string mb(double bytes, int decimals) {
+  return Table::fmt(bytes / (1024.0 * 1024.0), decimals);
+}
+std::string pct(double base, double v) {
+  return base > 0 ? Table::fmt(100.0 * (base - v) / base, 1) + "%" : "-";
+}
+
+/// A layer of the traffic figures: conv `desc`, or an FC layer fc_in ->
+/// fc_out when fc_out > 0, with weights drawn from `seed`.
+struct LayerCase {
+  std::string name;
+  dnn::ConvDesc desc = {};
+  int fc_in = 0, fc_out = 0;
+  std::uint64_t seed = 1;
+};
+
+std::unique_ptr<dnn::Layer> build(const LayerCase& c) {
+  if (c.fc_out > 0)
+    return std::make_unique<dnn::ConnectedLayer>(
+        c.fc_in, c.fc_out, dnn::Activation::Relu, c.seed);
+  return std::make_unique<dnn::ConvLayer>(c.desc, c.seed);
+}
+
+/// The batch-`n` input of every weight-stream run of `c`.
+dnn::Tensor batch_input(const LayerCase& c, int n) {
+  dnn::Tensor in = c.fc_out > 0 ? dnn::Tensor(n, c.fc_in, 1, 1)
+                                : dnn::Tensor(n, c.desc.in_c, c.desc.in_h,
+                                              c.desc.in_w);
+  in.randomize_batch(7, -1.0f, 1.0f);
+  return in;
+}
+
+/// DRAM bytes (simulated line fills) and engine bytes (every load and store
+/// the kernels issue, cache-blind) of one fresh single-item run of conv `c`.
+std::pair<double, double> conv_traffic(const LayerCase& c,
+                                       const EnginePolicy& policy,
+                                       const MachineConfig& m) {
+  dnn::ConvLayer layer(c.desc, c.seed);
+  sim::SimContext sctx(m);
+  vla::VectorEngine eng(sctx);
+  dnn::ExecContext ctx(eng);
+  core::ConvolutionEngine engine(policy);
+  engine.install(ctx);
+  dnn::Tensor in(c.desc.in_c, c.desc.in_h, c.desc.in_w);
+  Rng rng(7);
+  in.randomize(rng);
+  layer.forward(ctx, {&in});
+  return {static_cast<double>(sctx.memory().dram_line_fills()) *
+              m.l2.line_bytes,
+          static_cast<double>(eng.mem_bytes_moved())};
+}
+
+/// One fresh simulated run of `c` at `batch` items under the weight-resident
+/// `plan`, batch-fused when the layer supports it. `dram_per_item`: DRAM
+/// line fills whose address falls in the raw weights or in the layer's
+/// resident image (an int8 image's scales and a sparse image's bitmap and
+/// offsets included: the kernels read them on every panel), per item.
+/// `packed`: the image's bytes (0 without one).
+struct WeightTraffic {
+  double dram_per_item = 0, packed = 0;
+};
+WeightTraffic weight_traffic(const LayerCase& c, core::BackendPlan plan,
+                             const MachineConfig& m, int batch) {
+  const std::unique_ptr<dnn::Layer> layer = build(c);
+  const bool fc = c.fc_out > 0;
+  const float* weights =
+      fc ? static_cast<const dnn::ConnectedLayer&>(*layer).weights()
+         : static_cast<const dnn::ConvLayer&>(*layer).weights();
+  const dnn::Tensor in = batch_input(c, batch);
+  sim::SimContext sctx(m);
+  vla::VectorEngine eng(sctx);
+  dnn::ExecContext ctx(eng);
+  core::ConvolutionEngine engine(std::move(plan));
+  engine.install(ctx);
+  const auto watch = [&](const void* p, std::uint64_t bytes) {
+    sctx.memory().add_dram_watch(sim::AddressMap::instance().translate(p),
+                                 bytes);
+  };
+  WeightTraffic t;
+  if (!fc) {
+    engine.prepare(c.desc, weights);
+    // The image in the format the plan routes the layer to, else the fp32
+    // image (a reduced-format plan whose image was not retained).
+    const gemm::PackFormat fmt =
+        core::backend_pack_format(engine.plan().backend_for(c.desc));
+    const int block_k = engine.plan().opt6.blocks.block_k;
+    auto img = engine.packed_weights().find(
+        weights, c.desc.gemm_m(), c.desc.gemm_k(), block_k, fmt,
+        gemm::pack_format_sparse(fmt) ? engine.plan().sparsity_pm : 1000);
+    if (img == nullptr && fmt != gemm::PackFormat::F32)
+      img = engine.packed_weights().find(weights, c.desc.gemm_m(),
+                                         c.desc.gemm_k(), block_k);
+    if (img != nullptr) {
+      t.packed = static_cast<double>(img->bytes());
+      watch(img->raw(), img->data_bytes());
+      if (img->scales() != nullptr) watch(img->scales(), img->scales_bytes());
+      if (img->sparse_meta() != nullptr)
+        watch(img->sparse_meta(), img->sparse_meta_bytes());
+    }
+  }
+  const std::uint64_t elems =
+      fc ? static_cast<std::uint64_t>(c.fc_in) * c.fc_out
+         : static_cast<std::uint64_t>(c.desc.weight_count());
+  watch(weights, elems * sizeof(float));
+  const std::vector<const dnn::Tensor*> ins{&in};
+  layer->prepare_batch(ins);
+  if (batch == 1 || !layer->forward_batch(ctx, ins))
+    for (int b = 0; b < batch; ++b) layer->forward_item(ctx, ins, b);
+  t.dram_per_item = static_cast<double>(
+                        sctx.memory().watched_dram_line_fills()) *
+                    m.l2.line_bytes / batch;
+  return t;
+}
+
+/// A resident weight format of the reuse figure; `density_pm` is the kept
+/// share of 4x16 weight blocks of a sparse format, in 1/1000.
+struct Format {
+  const char* name;
+  gemm::PackFormat pack;
+  int density_pm;
+};
+constexpr Format kFormats[] = {
+    {"f32", gemm::PackFormat::F32, 1000},
+    {"bf16", gemm::PackFormat::Bf16, 1000},
+    {"int8", gemm::PackFormat::Int8PerChannel, 1000},
+    {"sparse50", gemm::PackFormat::SparseF32, 500},
+    {"sparse25", gemm::PackFormat::SparseF32, 250}};
+
+/// The fused weight-resident plan that routes conv `c` through `f` images.
+/// FC layers stay fp32: their GEMM accumulates onto fp32 partial sums, which
+/// a reduced-format image cannot join.
+core::BackendPlan resident_plan(const LayerCase& c, const Format& f) {
+  EnginePolicy policy = EnginePolicy::fused();
+  policy.weight_resident = true;
+  const core::BackendPlan plan = core::BackendPlan::uniform(policy);
+  if (c.fc_out > 0 || f.pack == gemm::PackFormat::F32) return plan;
+  if (gemm::pack_format_sparse(f.pack))
+    return plan.with_sparsity(f.density_pm / 1000.0);
+  return plan.with_precision(f.pack);
+}
+
+/// The functional output of `c` at `batch` items under `f`, batch-fused or
+/// per item; false if the batch-fused path declined. `prune_pm` != 0 first
+/// zeroes the weight blocks a magnitude prune at that density drops: the
+/// dense reference a sparse image must match bit for bit.
+bool outputs(const LayerCase& c, int batch, const Format& f, bool batched,
+             std::vector<float>* out, int prune_pm = 0) {
+  const std::unique_ptr<dnn::Layer> layer = build(c);
+  vla::VectorEngine eng(512);
+  dnn::ExecContext ctx(eng);
+  core::ConvolutionEngine engine(resident_plan(c, f));
+  engine.install(ctx);
+  if (c.fc_out == 0) {
+    auto& conv = static_cast<dnn::ConvLayer&>(*layer);
+    if (prune_pm != 0) {
+      const int m = c.desc.gemm_m(), k = c.desc.gemm_k();
+      const int block_k = engine.plan().opt6.blocks.block_k;
+      gemm::apply_block_mask(
+          conv.mutable_weights(), m, k, block_k,
+          gemm::prune_block_mask(conv.mutable_weights(), m, k, block_k,
+                                 prune_pm));
+    }
+    engine.prepare(c.desc, conv.weights());
+  }
+  const dnn::Tensor in = batch_input(c, batch);
+  const std::vector<const dnn::Tensor*> ins{&in};
+  layer->prepare_batch(ins);
+  if (batched) {
+    if (!layer->forward_batch(ctx, ins)) return false;
+  } else {
+    for (int b = 0; b < batch; ++b) layer->forward_item(ctx, ins, b);
+  }
+  out->assign(layer->output().data(),
+              layer->output().data() + layer->output().size());
+  return true;
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// Batch-fused vs per-item outputs of `c` under `f`, bitwise: the
+/// strip-grouping contract holds for every format.
+bool batch_bit_identical(const LayerCase& c, int batch, const Format& f) {
+  std::vector<float> batched, per_item;
+  return outputs(c, batch, f, true, &batched) &&
+         outputs(c, batch, f, false, &per_item) && same_bits(batched, per_item);
+}
+
+/// The fp32 path over a sparse `f` image vs the dense fp32 path over the
+/// same weights pruned by the same mask, bitwise: skipping a zeroed block is
+/// arithmetically invisible.
+bool sparse_matches_pruned_dense(const LayerCase& c, const Format& f) {
+  std::vector<float> sparse, pruned;
+  return outputs(c, 1, f, false, &sparse) &&
+         outputs(c, 1, kFormats[0], false, &pruned, f.density_pm) &&
+         same_bits(sparse, pruned);
+}
+
+double ulp_distance(float a, float b) {
+  const auto ordered = [](float x) {
+    std::int32_t i;
+    std::memcpy(&i, &x, sizeof(i));
+    return i < 0 ? -2147483648.0 - i : static_cast<double>(i);
+  };
+  return std::fabs(ordered(a) - ordered(b));
+}
+
+/// Batch-1 output of `c` under `f` vs under f32. The ULP distance is taken over outputs at
+/// working magnitude only (>= max |ref| / 1024): a near-zero output can sit
+/// huge lexicographic distances from an equally tiny reference while being
+/// numerically fine, and the absolute error governs those. The selector's
+/// accuracy check uses the same definition.
+struct Accuracy {
+  double max_ulp = 0, max_abs_err = 0, max_abs_ref = 0;
+};
+Accuracy accuracy(const LayerCase& c, const Format& f) {
+  std::vector<float> ref, got;
+  outputs(c, 1, kFormats[0], false, &ref);
+  outputs(c, 1, f, false, &got);
+  Accuracy a;
+  for (float r : ref)
+    a.max_abs_ref = std::max(a.max_abs_ref, static_cast<double>(std::fabs(r)));
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    a.max_abs_err = std::max(a.max_abs_err,
+                             static_cast<double>(std::fabs(ref[i] - got[i])));
+    if (std::fabs(ref[i]) >= a.max_abs_ref / 1024.0)
+      a.max_ulp = std::max(a.max_ulp, ulp_distance(ref[i], got[i]));
+  }
+  return a;
+}
+
+std::vector<Figure> figures(const BenchOptions& o) {
   const auto pt = [&o](Net net, int hw, const MachineConfig& m,
                        const EnginePolicy& p, int layers = -1) {
     return Point{net, hw, layers, o.seed, m, p};
@@ -193,6 +461,11 @@ std::vector<Figure> figures(const bench::BenchOptions& o) {
   std::vector<std::uint64_t> l2s = {1 << 20, 8 << 20, 64 << 20, 256 << 20};
   if (o.quick) l2s.resize(2);
   const std::string top = std::to_string(l2s.back() >> 20) + "MB";
+  const auto square = [](int n) {
+    return std::to_string(n) + "x" + std::to_string(n);
+  };
+  const std::string yolo_scale =
+      "YOLOv3 input: " + square(o.input_hw) + " (paper: 608x608)";
   std::vector<Figure> f;
   const auto add = [&](Labels text, Point p, std::optional<Point> base = {}) {
     f.back().rows.push_back({std::move(text), std::move(p), std::move(base)});
@@ -212,7 +485,7 @@ std::vector<Figure> figures(const bench::BenchOptions& o) {
 
   const std::string long_vl = "fig6-table3-long-vl";
   f.push_back({"fig6", "Fig. 6 — vector-length scaling (RVV @ gem5, 1 MB L2)",
-               "Fig. 6", "",
+               "Fig. 6", yolo_scale,
                {{"vector length", kText}, {"cycles (M)", kCycles},
                 {"speedup vs 512-bit", kSpeedup}, {"L2 miss rate %", kMiss}},
                Base::First});
@@ -228,7 +501,7 @@ std::vector<Figure> figures(const bench::BenchOptions& o) {
 
   f.push_back({"fig7",
                "Fig. 7 — L2 size scaling per vector length (RVV @ gem5)",
-               "Fig. 7", "", sweep_cols, Base::PerGroup});
+               "Fig. 7", yolo_scale, sweep_cols, Base::PerGroup});
   f.back().cols[3].first = "speedup vs 1MB";
   const auto fig7_vls =
       o.quick ? std::vector<unsigned>{512, 4096} : vlens(16384);
@@ -245,7 +518,7 @@ std::vector<Figure> figures(const bench::BenchOptions& o) {
 
   const EnginePolicy sve_gemm = opt6_tuned(sim::sve_gem5());
   f.push_back({"fig8", "Fig. 8 — VL x L2 sweep, im2col+GEMM (ARM-SVE @ gem5)",
-               "Fig. 8", "", sweep_cols, Base::First});
+               "Fig. 8", yolo_scale, sweep_cols, Base::First});
   sweep(Net::Yolo20, o.input_hw, sim::sve_gem5(), vlens(2048), sve_gemm);
   f.back().claims = {{"both longer vectors and larger caches help",
                       "1.34x from VL @ 1MB, 1.6x from L2 @ 2048-bit",
@@ -257,7 +530,7 @@ std::vector<Figure> figures(const bench::BenchOptions& o) {
   f.push_back({"fig9",
                "Fig. 9 — VL x L2 sweep, Winograd-enabled YOLOv3 "
                "(ARM-SVE @ gem5)",
-               "Fig. 9", "", sweep_cols, Base::First});
+               "Fig. 9", yolo_scale, sweep_cols, Base::First});
   sweep(Net::Yolo20, o.input_hw, sim::sve_gem5(), vlens(2048), wino);
   const auto vs_gemm = [=](const Results& rs) {  // Fig. 9's, then Fig. 8's
     auto v = gains({{{"2048-bit", "1MB"}, {"2048-bit", top}}})(rs);
@@ -275,12 +548,11 @@ std::vector<Figure> figures(const bench::BenchOptions& o) {
        "1.75x to 256MB; ours, then Fig. 8's, @ 2048-bit", vs_gemm, 1, kAny,
        "", 1}};
 
-  const std::string vgg_hw = std::to_string(o.vgg_input_hw);
+  const std::string vgg_scale =
+      "VGG16 input: " + square(o.vgg_input_hw) + " (paper: 224x224)";
   f.push_back({"fig10",
                "Fig. 10 — VL x L2 sweep, Winograd VGG16 (ARM-SVE @ gem5)",
-               "Fig. 10",
-               "VGG16 input: " + vgg_hw + "x" + vgg_hw + " (paper: 224x224)",
-               sweep_cols, Base::First});
+               "Fig. 10", vgg_scale, sweep_cols, Base::First});
   sweep(Net::Vgg16, o.vgg_input_hw, sim::sve_gem5(), vlens(2048), wino);
   std::vector<std::pair<Labels, Labels>> beyond_64mb;
   for (unsigned bits : vlens(2048))
@@ -293,8 +565,9 @@ std::vector<Figure> figures(const bench::BenchOptions& o) {
 
   f.push_back({"table2", "Table II — 6-loop block sizes vs 3-loop (RVV @ gem5)",
                "Table II",
-               "Normalized performance = 3-loop / 6-loop cycle ratio (1.0 "
-               "means parity; <1 means the 6-loop is slower):",
+               yolo_scale + "; normalized performance = 3-loop / 6-loop "
+                            "cycle ratio (1.0 means parity; <1 means the "
+                            "6-loop is slower):",
                {{"block sizes (MxNxK)", kText}, {"6-loop Mcycles", kCycles},
                 {"3-loop Mcycles", kBaseCycles},
                 {"normalized perf (ours)", kNorm},
@@ -317,7 +590,7 @@ std::vector<Figure> figures(const bench::BenchOptions& o) {
 
   f.push_back({"table3",
                "Table III — average vector length & L2 miss rate (RVV @ gem5)",
-               "Table III", "",
+               "Table III", yolo_scale,
                {{"vector length", kText}, {"avg VL bits (ours)", kAvgVl},
                 {"avg VL bits (paper)", kText + 1},
                 {"L2 miss rate % (ours)", kMiss},
@@ -363,7 +636,10 @@ std::vector<Figure> figures(const bench::BenchOptions& o) {
   const std::string spread = "table4-roofline-spread";
   f.push_back(
       {"table4", "Table IV — per-layer roofline on A64FX", "Table IV",
-       "AI = 2MNK / 4(MN+KN+MK); peak = 62.5 GFLOP/s per core:",
+       "YOLOv3 layer shapes at 608x608 with N divided by " +
+           std::to_string(n_scale) +
+           "; AI (of the 608x608 shapes) = 2MNK / 4(MN+KN+MK); peak = 62.5 "
+           "GFLOP/s per core:",
        {{"layer", 0}, {"M", 0}, {"N", 0}, {"K", 0}, {"AI (ours)", 0},
         {"% peak (ours)", 0}, {"% peak (paper)", 0}},
        Base::None, total_cycles, {{.custom = roofline}},
@@ -376,7 +652,7 @@ std::vector<Figure> figures(const bench::BenchOptions& o) {
          at({11, 12}, 2), 1, 4, spread}}});
 
   f.push_back({"lanes", "§VI-B(c) — vector-lane scaling (RVV @ gem5, 1 MB L2)",
-               "Section VI-B(c), unplotted experiment", "",
+               "Section VI-B(c), unplotted experiment", yolo_scale,
                {{"vector length", kText}, {"lanes", kText + 1},
                 {"cycles (M)", kCycles}, {"speedup vs 2 lanes", kSpeedup}},
                Base::PerGroup});
@@ -395,7 +671,7 @@ std::vector<Figure> figures(const bench::BenchOptions& o) {
        gains({{{"512-bit", "4"}, {"512-bit", "8"}}}), 0, 1.05, "lanes-gain"}};
 
   f.push_back({"unroll", "Ablation — 3-loop unroll factor (RVV @ gem5)",
-               "Section VI-A (register-utilization tuning)", "",
+               "Section VI-A (register-utilization tuning)", yolo_scale,
                {{"unroll factor", kText}, {"conv cycles (M)", kCycles},
                 {"relative to unroll=16", kRel}, {"note", kText + 1}},
                Base::Given, core::conv_cycles});
@@ -419,7 +695,7 @@ std::vector<Figure> figures(const bench::BenchOptions& o) {
        inv({-1}), 1.12, 1.18, "unroll-spill-cost"}};
 
   f.push_back({"blis", "Ablation — BLIS feature toggles per machine",
-               "Sections VI-A and VI-C (mechanism breakdown)", "",
+               "Sections VI-A and VI-C (mechanism breakdown)", yolo_scale,
                {{"machine", kText}, {"variant", kText + 1},
                 {"conv cycles (M)", kCycles}, {"vs all-features", kRel}},
                Base::PerGroup, core::conv_cycles});
@@ -469,7 +745,8 @@ std::vector<Figure> figures(const bench::BenchOptions& o) {
   };
   f.push_back(
       {"tilesize", "Tile-size study — accuracy vs arithmetic reduction",
-       "Section IV-B (design rationale for 8x8 tiles)", "",
+       "Section IV-B (design rationale for 8x8 tiles)",
+       "48x48 images, " + std::to_string(seeds) + " seeds per variant",
        {{"variant", 0}, {"tile", 0}, {"mult. reduction", 0},
         {"max |err| (mag 1)", 0}, {"max |err| (mag 8)", 0}},
        Base::None, total_cycles, {{.custom = tiles}},
@@ -483,7 +760,10 @@ std::vector<Figure> figures(const bench::BenchOptions& o) {
   const int tiny_hw = o.quick ? 64 : 128, layers = o.quick ? 6 : 12;
   const std::string yolo = "YOLOv3 (" + std::to_string(layers) + " layers)";
   f.push_back({"speedups", "§VI-A/§VI-C — optimization speedup summary",
-               "Sections VI-A and VI-C (scalar results)", "",
+               "Sections VI-A and VI-C (scalar results)",
+               "YOLOv3-tiny and the naive-baseline points at " +
+                   square(tiny_hw) + ", the other YOLOv3 points at " +
+                   square(o.input_hw) + " (paper: 608x608 / 416x416)",
                {{"comparison", kText}, {"machine", kText + 1},
                 {"workload", kText + 2}, {"speedup (ours)", kSpeedup},
                 {"speedup (paper)", kText + 3}},
@@ -544,7 +824,7 @@ std::vector<Figure> figures(const bench::BenchOptions& o) {
   wino6.opt6 = gemm.opt6;
   f.push_back({"wino_vs_gemm",
                "§VII-A — Winograd vs optimized im2col+GEMM (A64FX)",
-               "Section VII-A", "",
+               "Section VII-A", vgg_scale + ", " + yolo_scale,
                {{"workload", kText}, {"metric", kText + 1},
                 {"speedup (ours)", kSpeedup}, {"speedup (paper)", kText + 2}},
                Base::Given});
@@ -592,14 +872,224 @@ std::vector<Figure> figures(const bench::BenchOptions& o) {
       {"loses on stride-2", "0.71x", at({3}), 0, 1},
       {"the win holds across vector lengths", "1.4x 1.5x 1.3x (SVE, 1MB)",
        at({4, 5, 6}), 1, kAny, "wino-sve-vl"}};
+
+  // Beyond the paper: where the simulated DRAM traffic of a conv layer
+  // goes. x = {weight-bound, fused DRAM cut, b4 / b1 weight DRAM per item};
+  // NaN where the layer's point is not run.
+  //
+  // 128x128, not the 64x64 of the cycle figures: below it VGG's last conv
+  // block collapses to a 4x4 extent whose im2col workspace fits L2 outright.
+  // Those layers become pure weight streaming (M*K dominates K*N), which no
+  // fusion can cut, and the per-layer cut would bottom out for a reason
+  // unrelated to the pipeline under test.
+  const int fused_hw = o.quick ? 32 : 128;
+  const auto fused_rows = [hw = fused_hw, quick = o.quick, seed = o.seed] {
+    const MachineConfig m = sim::sve_gem5();
+    gemm::Opt6Config o6;
+    o6.blocks = gemm::tune_block_sizes(m);
+    const EnginePolicy unfused = EnginePolicy::opt6loop(o6);
+    const EnginePolicy fused = EnginePolicy::fused(/*use_winograd=*/false, o6);
+    EnginePolicy resident = fused;
+    resident.weight_resident = true;
+    std::vector<LayerCase> convs;
+    {  // the network's weights (FC layers included) are freed before the runs
+      const std::unique_ptr<dnn::Network> net = dnn::build_vgg16(hw, -1, seed);
+      for (std::size_t i = 0; i < net->num_layers(); ++i)
+        if (const auto* c =
+                dynamic_cast<const dnn::ConvLayer*>(&net->layer(i)))
+          convs.push_back({"vgg L" + std::to_string(i) + " " + c->name(),
+                           c->desc(), 0, 0, 1000 + i});
+    }
+    // --quick runs the first 6 layers, and the last 2 weight-bound ones
+    // for the weight-resident columns.
+    const std::size_t swept = quick ? std::min<std::size_t>(6, convs.size())
+                                    : convs.size();
+    std::vector<std::size_t> bound;
+    for (std::size_t i = 0; i < convs.size(); ++i)
+      if (core::conv_weight_bound(convs[i].desc)) bound.push_back(i);
+    if (quick && bound.size() > 2) bound.erase(bound.begin(), bound.end() - 2);
+    Results rs;
+    for (std::size_t i = 0; i < convs.size(); ++i) {
+      const LayerCase& c = convs[i];
+      const bool resident_run =
+          std::find(bound.begin(), bound.end(), i) != bound.end();
+      if (i >= swept && !resident_run) continue;
+      Result r{{c.name},
+               {core::conv_weight_bound(c.desc) ? 1.0 : 0.0, NAN, NAN}};
+      if (i < swept) {
+        const auto [dram_u, eng_u] = conv_traffic(c, unfused, m);
+        const auto [dram_f, eng_f] = conv_traffic(c, fused, m);
+        r.x[1] = (dram_u - dram_f) / dram_u;
+        r.cells.insert(r.cells.end(),
+                       {mb(dram_u, 2), mb(dram_f, 2), pct(dram_u, dram_f),
+                        mb(eng_u, 2), mb(eng_f, 2), pct(eng_u, eng_f)});
+      } else {
+        r.cells.insert(r.cells.end(), 6, "-");
+      }
+      if (resident_run) {
+        const auto per_item = [&](int batch) {
+          return weight_traffic(c, core::BackendPlan::uniform(resident), m,
+                                batch)
+              .dram_per_item;
+        };
+        const double b1 = per_item(1), b4 = per_item(4);
+        r.x[2] = b4 / b1;
+        r.cells.insert(r.cells.end(), {mb(b1, 2), mb(b4, 2)});
+      } else {
+        r.cells.insert(r.cells.end(), 2, "-");
+      }
+      rs.push_back(std::move(r));
+    }
+    return rs;
+  };
+  f.push_back(
+      {"fused", "Beyond the paper — fused vs unfused conv pipeline",
+       "the im2col+GEMM pipeline's DRAM traffic (implicit-GEMM packing, "
+       "in-kernel epilogue, weight residency)",
+       "VGG16 conv layers at " + square(fused_hw) +
+           " on arm-sve-gem5 (1 MB L2), opt6 with tuned blocks. DRAM: "
+           "simulated line fills; eng: every kernel load and store; wt "
+           "DRAM: weight-stream fills per item, weight-resident, at batch 1 "
+           "and 4 on the weight-bound layers:",
+       {{"layer", 0}, {"DRAM MB unfused", 0}, {"DRAM MB fused", 0},
+        {"DRAM saved", 0}, {"eng MB unfused", 0}, {"eng MB fused", 0},
+        {"eng saved", 0}, {"wt DRAM MB/item b1", 0}, {"b4", 0}},
+       Base::None, total_cycles, {{.custom = fused_rows}},
+       {{"the fused pipeline should cut DRAM bytes per conv layer by >= 30% "
+         "on the VGG-style shapes",
+         "beyond the paper: >= 30% per non-weight-bound layer",
+         where([](const auto& x) { return x[0] == 0 && !std::isnan(x[1]); },
+               1),
+         0.30, kAny, "fused-dram-cut"},
+        {"per-item weight DRAM bytes at batch 4 should drop >= 2x vs batch 1 "
+         "on these layers",
+         "beyond the paper: b4 <= 0.5x b1 per weight-bound layer",
+         where([](const auto& x) { return !std::isnan(x[2]); }, 2), 0,
+         0.5}}});
+
+  // Beyond the paper: weight-resident batch-fused execution of the
+  // weight-bound layer set (VGG block 5 at the fused figure's 128x128, the
+  // FC tail at 64x64; --quick shrinks channels and keeps M >= N) in each
+  // resident format. x = {format index, batch, DRAM over batch 1's,
+  // f32-resident DRAM over this row's, DRAM over f32's at batch 1, max ULP,
+  // max abs err / max |ref|, batch-fused bit-identical, sparse
+  // bit-identical to pruned dense}.
+  const auto reuse_rows = [quick = o.quick] {
+    LayerCase vgg5{quick ? "vgg5-conv 256 3x3 (quick)" : "vgg5-conv 512 3x3"};
+    vgg5.desc.in_c = vgg5.desc.out_c = quick ? 256 : 512;
+    vgg5.desc.in_h = vgg5.desc.in_w = quick ? 4 : 8;
+    vgg5.desc.ksize = 3;
+    vgg5.desc.stride = 1;
+    vgg5.desc.pad = 1;
+    vgg5.desc.batch_norm = false;
+    vgg5.desc.act = dnn::Activation::Relu;
+    vgg5.seed = 1001;
+    LayerCase head = vgg5;  // the 1x1 flavour: the dense batched B path
+    head.name = quick ? "head-conv 256 1x1 (quick)" : "head-conv 512 1x1";
+    head.desc.ksize = 1;
+    head.desc.pad = 0;
+    head.seed = 1002;
+    const LayerCase fc{quick ? "vgg-fc 512x1024 (quick)" : "vgg-fc 2048x4096",
+                       {}, quick ? 512 : 2048, quick ? 1024 : 4096, 1003};
+    const MachineConfig m = sim::sve_gem5();
+    std::map<std::pair<std::string, int>, double> f32;  // (layer, batch)
+    Results rs;
+    for (std::size_t i = 0; i < std::size(kFormats); ++i) {
+      const Format& fmt = kFormats[i];
+      for (const LayerCase& c : {vgg5, head, fc}) {
+        if (i > 0 && c.fc_out > 0) continue;  // FC is measured once, in f32
+        const Accuracy acc = i > 0 ? accuracy(c, fmt) : Accuracy{};
+        const bool pruned_bits = !gemm::pack_format_sparse(fmt.pack) ||
+                                 sparse_matches_pruned_dense(c, fmt);
+        double b1 = 0;
+        for (int batch : {1, 2, 4, 8}) {
+          const bool bits = batch == 1 || batch_bit_identical(c, batch, fmt);
+          const WeightTraffic t =
+              weight_traffic(c, resident_plan(c, fmt), m, batch);
+          const double dram = t.dram_per_item;
+          if (batch == 1) b1 = dram;
+          if (i == 0) f32[{c.name, batch}] = dram;
+          const double vs_f32 = f32[{c.name, batch}] / dram;
+          const bool show = i > 0 && (batch == 1 || batch == 4);
+          rs.push_back(
+              {{c.name, fmt.name, std::to_string(batch), mb(dram, 3),
+                x2(dram / b1), show ? x2(vs_f32) : "-",
+                t.packed > 0 ? mb(t.packed, 3) : "-",
+                i > 0 && batch == 1 ? Table::fmt(acc.max_ulp, 0) : "-",
+                i > 0 && batch == 1 ? Table::fmt(acc.max_abs_err, 4) : "-",
+                batch == 1 ? "-" : bits ? "yes" : "NO"},
+               {static_cast<double>(i), static_cast<double>(batch), dram / b1,
+                vs_f32, dram / f32[{c.name, 1}], acc.max_ulp,
+                acc.max_abs_err / acc.max_abs_ref, bits ? 1.0 : 0.0,
+                pruned_bits ? 1.0 : 0.0}});
+        }
+      }
+    }
+    return rs;
+  };
+  // Rows of format `fmt` (-1: every format) at `batch` (0: every batch
+  // above 1).
+  const auto rows_of = [](int fmt, int batch) {
+    return [=](const std::vector<double>& x) {
+      return (fmt < 0 || x[0] == fmt) && (batch ? x[1] == batch : x[1] > 1);
+    };
+  };
+  f.push_back(
+      {"reuse",
+       "Beyond the paper — weight-resident batch-fused execution per format",
+       "per-item weight DRAM traffic vs batch on weight-bound layers, in "
+       "reduced-precision and block-sparse resident formats",
+       "Weight-bound layers (shapes as named) on arm-sve-gem5 (1 MB L2). wt "
+       "DRAM: simulated fills of the weights and the resident image, per "
+       "item; vs f32: the f32 rows' DRAM over this row's; max ULP / abs err: "
+       "batch-1 output vs f32 (sparse accuracy is reported, not gated):",
+       {{"layer", 0}, {"fmt", 0}, {"batch", 0}, {"wt DRAM MB/item", 0},
+        {"vs b1", 0}, {"vs f32", 0}, {"packed MB", 0}, {"max ULP", 0},
+        {"max abs err", 0}, {"bit-identical", 0}},
+       Base::None, total_cycles, {{.custom = reuse_rows}}});
+  f.back().claims = {
+      {"batch 4 must sit at <= 0.5x batch 1", "beyond the paper: <= 0.5x",
+       where(rows_of(-1, 4), 2), 0, 0.5},
+      {"batch-fused outputs are bit-identical to the per-item path",
+       "beyond the paper: every layer, format and batch 2, 4, 8",
+       where(rows_of(-1, 0), 7), 1, 1},
+      {"bf16 halves the resident stream vs fp32",
+       "beyond the paper: >= 1.8x at batch 4", where(rows_of(1, 4), 3), 1.8},
+      {"bf16 stays inside the pinned accuracy gate",
+       "beyond the paper: max ULP <= " +
+           std::to_string(core::kBf16OutputMaxUlp),
+       where(rows_of(1, 1), 5), 0,
+       static_cast<double>(core::kBf16OutputMaxUlp)},
+      {"int8 quarters the resident stream vs fp32",
+       "beyond the paper: >= 3.5x at batch 4", where(rows_of(2, 4), 3), 3.5},
+      {"int8 at batch 4 reaches <= 0.3x the fp32 batch-1 stream",
+       "beyond the paper: <= 0.3x", where(rows_of(2, 4), 4), 0, 0.3},
+      {"int8 stays inside the pinned accuracy gate",
+       "beyond the paper: max abs err <= " +
+           Table::fmt(core::kInt8OutputRelTol, 4) + "x max |ref|",
+       where(rows_of(2, 1), 6), 0,
+       static_cast<double>(core::kInt8OutputRelTol)}};
+  for (int i : {3, 4}) {
+    const double density = kFormats[i].density_pm / 1000.0;
+    f.back().claims.push_back(
+        {std::string(kFormats[i].name) +
+             " shrinks the resident stream ~density-fold",
+         "beyond the paper: <= density + 0.05 of fp32 at batch 4",
+         where(rows_of(i, 4), 3, true), 0, density + 0.05});
+  }
+  f.back().claims.push_back(
+      {"the fp32 sparse path stays bit-identical to "
+       "dense-over-pruned-weights",
+       "beyond the paper: sparse50, sparse25",
+       where([](const auto& x) { return x[0] >= 3 && x[1] == 1; }, 8), 1, 1});
   return f;
 }
 
 /// Runs a figure's rows, prints its table and evaluates its claims; `tally`
 /// counts {PASS, recorded DEVIATION, unrecorded DEVIATION, n/a}.
-void run_figure(const Figure& f, const bench::BenchOptions& o,
-                int (&tally)[4]) {
-  bench::print_header(f.title, f.ref, o);
+void run_figure(const Figure& f, int (&tally)[4]) {
+  std::printf("== %s ==\nreproduces: %s\n\n", f.title.c_str(), f.ref.c_str());
+  std::fflush(stdout);
   Results results;
   std::map<std::string, Point> firsts;  // Base::First / Base::PerGroup
   for (const Row& row : f.rows) {
@@ -655,14 +1145,12 @@ void run_figure(const Figure& f, const bench::BenchOptions& o,
 int main(int argc, char** argv) {
   try {
     const CliArgs args(argc, argv);
-    if (args.has("json")) {
-      // BenchOptions parses --json for the benches that write records; this
-      // harness writes none, so the flag would silently do nothing.
-      std::fprintf(stderr, "bench_paper: --json is not supported (the "
-                           "harness prints its tables and writes no JSON)\n");
-      return 1;
-    }
-    const auto opt = bench::BenchOptions::from_cli(argc, argv);
+    args.require_known({"figure", "input", "vgg-input", "quick", "seed"});
+    const BenchOptions opt{
+        static_cast<int>(args.get_int("input", 96)),
+        static_cast<int>(args.get_int("vgg-input", 64)),
+        args.get_bool("quick", false),
+        static_cast<std::uint64_t>(args.get_int("seed", 1234))};
     const std::string only = args.get("figure", "");
     const std::vector<Figure> figs = figures(opt);
     std::string ids;
@@ -675,7 +1163,7 @@ int main(int argc, char** argv) {
     }
     int tally[4] = {};
     for (const Figure& f : figs)
-      if (!args.has("figure") || f.id == only) run_figure(f, opt, tally);
+      if (!args.has("figure") || f.id == only) run_figure(f, tally);
     std::printf("claims: %d PASS, %d recorded DEVIATION, %d unrecorded "
                 "DEVIATION, %d n/a\n",
                 tally[0], tally[1], tally[2], tally[3]);

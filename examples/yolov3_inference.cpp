@@ -28,9 +28,9 @@ int main(int argc, char** argv) try {
   const sim::MachineConfig machine = sim::machine_by_name(machine_name);
 
   auto net = dnn::build_yolov3(input, layers);
-  std::printf("YOLOv3 (%d layers, %zu conv) at %dx%d on %s%s\n\n", layers,
-              net->num_conv_layers(), input, input, machine.name.c_str(),
-              winograd ? " with Winograd" : "");
+  std::printf("YOLOv3 (%zu layers, %zu conv) at %dx%d on %s%s\n\n",
+              net->num_layers(), net->num_conv_layers(), input, input,
+              machine.name.c_str(), winograd ? " with Winograd" : "");
 
   const core::EnginePolicy policy = winograd ? core::EnginePolicy::winograd()
                                              : core::EnginePolicy::opt6loop();

@@ -1,5 +1,6 @@
 #include "common/cli.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 
@@ -72,6 +73,16 @@ bool CliArgs::get_bool(const std::string& key, bool fallback) const {
   const auto it = kv_.find(key);
   if (it == kv_.end()) return fallback;
   return it->second == "true" || it->second == "1" || it->second == "yes";
+}
+
+void CliArgs::require_known(const std::vector<std::string>& known) const {
+  for (const auto& [key, value] : kv_) {
+    if (std::find(known.begin(), known.end(), key) != known.end()) continue;
+    std::string names;
+    for (const std::string& k : known) names += " --" + k;
+    throw InvalidArgument("--" + key + ": unknown flag; expected one of" +
+                          names);
+  }
 }
 
 }  // namespace vlacnn

@@ -11,8 +11,8 @@
 namespace vlacnn::core {
 
 /// Pinned accuracy gates for the reduced-precision weight backends (the
-/// bounds `bench_weight_reuse --check` and the selector enforce; fp32
-/// backends stay bit-identical and never consult these).
+/// bounds the selector and the claims of `bench_paper --figure=reuse`
+/// enforce; fp32 backends stay bit-identical and never consult these).
 ///
 /// bf16 rounds each weight to 8 mantissa bits (relative step 2^-8); the
 /// fp32 accumulation over K compounds that to output errors a few times

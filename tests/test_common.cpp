@@ -179,5 +179,21 @@ TEST(Cli, RejectsMalformedNumbers) {
   EXPECT_EQ(args.get_int("missing", 7), 7);
 }
 
+TEST(Cli, RejectsUnknownFlags) {
+  const char* argv[] = {"prog", "--figure=fig6", "--quick", "--format=int8",
+                        "--check", "pos"};
+  const CliArgs args(6, const_cast<char**>(argv));
+  EXPECT_NO_THROW(args.require_known({"figure", "quick", "format", "check"}));
+  try {
+    args.require_known({"figure", "quick", "seed"});
+    ADD_FAILURE() << "an unknown flag was accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("--check: unknown flag"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(args.require_known({}), InvalidArgument);
+}
+
 }  // namespace
 }  // namespace vlacnn

@@ -351,7 +351,7 @@ TEST(FusedConv, FusedMovesFewerBytes) {
   // The workspace round-trip, the fill pass, the first C read and the four
   // output-tensor post-passes are gone; at engine level (every load/store
   // counted, cache-less) that is a >15% cut. The DRAM-level cut measured by
-  // bench_fused_conv is far larger.
+  // `bench_paper --figure=fused` is far larger.
   EXPECT_LT(static_cast<double>(fused), 0.85 * static_cast<double>(unfused))
       << "fused=" << fused << " unfused=" << unfused;
 }
