@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <thread>
@@ -52,6 +53,16 @@ struct ServingFlags {
     if (!(rate >= 0.0))
       throw InvalidArgument("--rate=" + Table::fmt(rate, 3) +
                             ": must be >= 0 (0 = from measured capacity)");
+  }
+
+  /// The flags above plus a tool's own, for CliArgs::require_known.
+  static std::vector<std::string> keys_with(
+      std::initializer_list<std::string> own) {
+    std::vector<std::string> k = {"model", "precision", "json",     "input",
+                                  "threads", "requests", "rate",   "sparsity",
+                                  "seed",  "chaos"};
+    k.insert(k.end(), own);
+    return k;
   }
 };
 

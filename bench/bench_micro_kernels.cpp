@@ -67,49 +67,28 @@ BENCHMARK(BM_GemmVariant<gemm::GemmVariant::Opt6Loop>)
     ->Args({128, 2048})
     ->Args({256, 2048});
 
-// The tail-strip shape of tiny@96's late 3x3 layers (M=1024, K=4608, N=9 on
-// a 512-bit engine): every vector-scalar FMA covers 9 of 16 lanes, so the
-// time is the engine's per-op cost rather than lane work. Items are FMA
-// calls, so items_per_second inverts to ns per call.
-template <gemm::GemmVariant V>
-void BM_GemmNarrowN(benchmark::State& state) {
-  constexpr int m = 1024, k = 4608, n = 9;
+// tiny@96's hot GEMM shapes on a 512-bit engine, as (M, K, N):
+//  * 1024 x 4608 x 9, the tail strip of the late 3x3 layers: every
+//    vector-scalar FMA covers 9 of 16 lanes;
+//  * 256 x 2304 x 288, layer 21 batch-fused at batch 8 (N = 8 x 36): the
+//    wide shape offline-batch serves.
+// Items are logical FMA instructions (vfmacc.vf: one accumulator row x one
+// strip per k-step), however the engine groups them, so items_per_second
+// inverts to ns per simulated instruction; `flops` is the GFLOP/s.
+void run_gemm_shape(benchmark::State& state, vla::VectorEngine& eng,
+                    gemm::GemmVariant variant) {
+  const auto m = static_cast<int>(state.range(0));
+  const auto k = static_cast<int>(state.range(1));
+  const auto n = static_cast<int>(state.range(2));
   auto a = rand_vec(static_cast<std::size_t>(m) * k, 1);
   auto b = rand_vec(static_cast<std::size_t>(k) * n, 2);
   std::vector<float> c(static_cast<std::size_t>(m) * n, 0.0f);
-  vla::VectorEngine eng(512);
-  auto fn = gemm::make_gemm_fn(V);
-  const auto strips =
-      static_cast<std::int64_t>((n + eng.vlmax() - 1) / eng.vlmax());
-  for (auto _ : state) {
-    fn(eng, m, n, k, 1.0f, a.data(), k, b.data(), n, c.data(), n);
-    benchmark::DoNotOptimize(c.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * m * k * strips);
-}
-BENCHMARK(BM_GemmNarrowN<gemm::GemmVariant::Opt3Loop>)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_GemmNarrowN<gemm::GemmVariant::Opt6Loop>)
-    ->Unit(benchmark::kMillisecond);
-
-// The same shape with an RVV gem5 512-bit SimContext attached: every engine
-// op also drives the timing model, the address map and the cache hierarchy,
-// so items_per_second inverts to host ns per simulated vector op — the
-// number a simulator hot-path change should move. The operands are
-// registered with the address map, as a network's tensors are.
-template <gemm::GemmVariant V>
-void BM_SimGemmNarrowN(benchmark::State& state) {
-  constexpr int m = 1024, k = 4608, n = 9;
-  auto a = rand_vec(static_cast<std::size_t>(m) * k, 1);
-  auto b = rand_vec(static_cast<std::size_t>(k) * n, 2);
-  std::vector<float> c(static_cast<std::size_t>(m) * n, 0.0f);
+  // The operands are registered with the address map, as a network's
+  // tensors are; the functional engine never reads the map.
   const sim::RegisteredRange a_reg(a.data(), a.size() * sizeof(float));
   const sim::RegisteredRange b_reg(b.data(), b.size() * sizeof(float));
   const sim::RegisteredRange c_reg(c.data(), c.size() * sizeof(float));
-  sim::SimContext sctx(sim::rvv_gem5().with_vlen(512));
-  vla::VectorEngine eng(sctx);
-  auto fn = gemm::make_gemm_fn(V);
+  auto fn = gemm::make_gemm_fn(variant);
   const auto strips =
       static_cast<std::int64_t>((n + eng.vlmax() - 1) / eng.vlmax());
   for (auto _ : state) {
@@ -118,11 +97,38 @@ void BM_SimGemmNarrowN(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * m * k * strips);
+  state.counters["flops"] = benchmark::Counter(
+      2.0 * m * n * k * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_SimGemmNarrowN<gemm::GemmVariant::Opt3Loop>)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SimGemmNarrowN<gemm::GemmVariant::Opt6Loop>)
-    ->Unit(benchmark::kMillisecond);
+
+template <gemm::GemmVariant V>
+void BM_GemmNarrowN(benchmark::State& state) {
+  vla::VectorEngine eng(512);
+  run_gemm_shape(state, eng, V);
+}
+
+// The same shapes with an RVV gem5 512-bit SimContext attached: every
+// instruction also drives the timing model, the address map and the cache
+// hierarchy, so items_per_second inverts to host ns per simulated vector op
+// — the number a simulator hot-path change should move.
+template <gemm::GemmVariant V>
+void BM_SimGemmNarrowN(benchmark::State& state) {
+  sim::SimContext sctx(sim::rvv_gem5().with_vlen(512));
+  vla::VectorEngine eng(sctx);
+  run_gemm_shape(state, eng, V);
+}
+
+#define VLACNN_HOT_SHAPES(BM, V) \
+  BENCHMARK(BM<V>)                \
+      ->Args({1024, 4608, 9})     \
+      ->Args({256, 2304, 288})    \
+      ->Unit(benchmark::kMillisecond)
+VLACNN_HOT_SHAPES(BM_GemmNarrowN, gemm::GemmVariant::Opt3Loop);
+VLACNN_HOT_SHAPES(BM_GemmNarrowN, gemm::GemmVariant::Opt6Loop);
+VLACNN_HOT_SHAPES(BM_SimGemmNarrowN, gemm::GemmVariant::Opt3Loop);
+VLACNN_HOT_SHAPES(BM_SimGemmNarrowN, gemm::GemmVariant::Opt6Loop);
+#undef VLACNN_HOT_SHAPES
 
 void BM_Im2col(benchmark::State& state) {
   dnn::ConvDesc d;

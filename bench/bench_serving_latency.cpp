@@ -576,6 +576,8 @@ int run_overload(const Flags& f, dnn::Network& net) {
 
 int main(int argc, char** argv) try {
   const CliArgs args(argc, argv);
+  args.require_known(bench::ServingFlags::keys_with(
+      {"quick", "scenario", "load", "check"}));
   const Flags f(args);
   if (f.load <= 0.0) {
     std::fprintf(stderr, "error: --load must be > 0\n");

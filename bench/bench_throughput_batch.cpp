@@ -38,6 +38,8 @@ using namespace vlacnn;
 
 int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
+  args.require_known(
+      {"model", "policy", "input", "reps", "max-threads", "quick", "json"});
   const std::string model = args.get("model", "tiny");
   const std::string policy_name = args.get("policy", "opt6");
   const int input_hw = static_cast<int>(args.get_int("input", 96));

@@ -66,6 +66,9 @@ using namespace vlacnn;
 
 int main(int argc, char** argv) try {
   const CliArgs args(argc, argv);
+  args.require_known(bench::ServingFlags::keys_with(
+      {"batch", "vlen", "policy", "machine", "max-wait-ms", "deadline-ms",
+       "queue-cap", "block", "replan"}));
   const bench::ServingFlags f(args, /*default_requests=*/32);
   const int batch = static_cast<int>(args.get_int("batch", 8));
   const auto vlen = static_cast<unsigned>(args.get_int("vlen", 512));

@@ -62,6 +62,8 @@ void print_selector_stats(const core::SelectorStats& st, const char* label) {
 
 int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
+  args.require_known({"model", "input", "layers", "machine", "vlen", "cost",
+                      "check", "batch"});
   const std::string model = args.get("model", "yolo");
   const int requested_input = static_cast<int>(args.get_int("input", 64));
   const int layers = static_cast<int>(args.get_int("layers", 16));

@@ -19,6 +19,7 @@ using namespace vlacnn;
 
 int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
+  args.require_known({"model", "input", "layers", "machine", "winograd"});
   const std::string model = args.get("model", "yolo");
   const int requested_input = static_cast<int>(args.get_int("input", 64));
   const int layers = static_cast<int>(args.get_int("layers", 12));

@@ -7,6 +7,7 @@
 //   ./quickstart [--vlen=2048]
 
 #include <cstdio>
+#include <exception>
 
 #include "common/cli.hpp"
 #include "core/codesign.hpp"
@@ -15,8 +16,9 @@
 
 using namespace vlacnn;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
+  args.require_known({"vlen"});
   const auto vlen = static_cast<unsigned>(args.get_int("vlen", 2048));
 
   // A small network: one 3x3 convolution over a 64x64 RGB image.
@@ -50,4 +52,7 @@ int main(int argc, char** argv) {
   std::printf("  vector instructions: %llu\n",
               static_cast<unsigned long long>(r.vector_instructions));
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -46,6 +46,7 @@ Outcome classify(const sim::MachineConfig& machine,
 
 int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
+  args.require_known({"input", "machine", "vlen"});
   const int input = static_cast<int>(args.get_int("input", 64));
   const std::string machine_name = args.get("machine", "a64fx");
   const auto vlen = static_cast<unsigned>(args.get_int("vlen", 0));

@@ -20,6 +20,7 @@ using namespace vlacnn;
 
 int main(int argc, char** argv) try {
   CliArgs args(argc, argv);
+  args.require_known({"input", "layers", "machine", "winograd"});
   const int input = static_cast<int>(args.get_int("input", 96));
   const int layers = static_cast<int>(args.get_int("layers", 24));
   const std::string machine_name = args.get("machine", "a64fx");

@@ -10,54 +10,32 @@ namespace {
 constexpr int kMaxAccRegs = 30;  // v0..v29 accumulators, v30 = B row
 constexpr vla::Vreg kVB = 30;
 
-/// The 3-loop body, compiled once per alpha case so that neither the alpha
-/// test nor the register-spill test sits in the per-FMA loop.
-template <bool kScaled>
-void gemm_opt3_body(vla::VectorEngine& eng, int unroll, int M, int N, int K,
+/// The k-loop of a tile whose rows exceed the 30 accumulators, kept as
+/// per-instruction calls because the `unroll` ablation measures exactly
+/// these spills: each surplus row round-trips through memory every FMA.
+void spilled_k_loop(vla::VectorEngine& eng, int rows, int reg_rows, int K,
                     float alpha, const float* A, int lda, const float* B,
                     int ldb, float* C, int ldc) {
-  const int in_regs = std::min(unroll, kMaxAccRegs);
-
-  for (int j = 0; j < N;) {
-    const auto gvl = static_cast<int>(eng.setvl(static_cast<std::size_t>(N - j)));
-    eng.scalar_ops(2);  // strip-mine bookkeeping
-    for (int i = 0; i < M; i += unroll) {
-      const int rows = std::min(unroll, M - i);
-      const int reg_rows = std::min(rows, in_regs);
-      eng.scalar_ops(3);  // i-loop bookkeeping + address setup
-
-      // Load the C tile into vector accumulators (v0..v(reg_rows-1)).
-      for (int u = 0; u < reg_rows; ++u)
-        eng.vload(u, C + static_cast<std::size_t>(i + u) * ldc + j);
-
-      for (int k = 0; k < K; ++k) {
-        eng.vload(kVB, B + static_cast<std::size_t>(k) * ldb + j);
-        eng.scalar_ops(2);  // k-loop bookkeeping
-        const auto a_at = [&](int u) {
-          const float* a_ptr = A + static_cast<std::size_t>(i + u) * lda + k;
-          eng.scalar_mem(a_ptr, sizeof(float), false);
-          float a = *a_ptr;
-          if constexpr (kScaled) {  // paper: skip the multiply when ALPHA == 1
-            a *= alpha;
-            eng.scalar_ops(1);
-          }
-          return a;
-        };
-        for (int u = 0; u < reg_rows; ++u) eng.vfma_scalar(u, a_at(u), kVB);
-        for (int u = reg_rows; u < rows; ++u) {
-          // Spilled accumulator: round-trips through memory every FMA.
-          const float a = a_at(u);
-          float* crow = C + static_cast<std::size_t>(i + u) * ldc + j;
-          eng.vload(31, crow);
-          eng.vfma_scalar(31, a, kVB);
-          eng.vstore(31, crow);
-        }
+  for (int k = 0; k < K; ++k) {
+    eng.vload(kVB, B + static_cast<std::size_t>(k) * ldb);
+    eng.scalar_ops(2);  // k-loop bookkeeping
+    for (int u = 0; u < rows; ++u) {
+      const float* a_ptr = A + static_cast<std::size_t>(u) * lda + k;
+      eng.scalar_mem(a_ptr, sizeof(float), false);
+      float a = *a_ptr;
+      if (alpha != 1.0f) {  // paper: skip the multiply when ALPHA == 1
+        a *= alpha;
+        eng.scalar_ops(1);
       }
-
-      for (int u = 0; u < reg_rows; ++u)
-        eng.vstore(u, C + static_cast<std::size_t>(i + u) * ldc + j);
+      if (u < reg_rows) {
+        eng.vfma_scalar(u, a, kVB);
+      } else {
+        float* crow = C + static_cast<std::size_t>(u) * ldc;
+        eng.vload(31, crow);
+        eng.vfma_scalar(31, a, kVB);
+        eng.vstore(31, crow);
+      }
     }
-    j += gvl;
   }
 }
 }  // namespace
@@ -67,12 +45,38 @@ void gemm_opt3(vla::VectorEngine& eng, const Opt3Config& cfg, int M, int N,
                int ldb, float* C, int ldc) {
   VLACNN_REQUIRE(cfg.unroll_factor >= 1 && cfg.unroll_factor <= 64,
                  "unroll factor out of range");
-  if (alpha != 1.0f)
-    gemm_opt3_body<true>(eng, cfg.unroll_factor, M, N, K, alpha, A, lda, B,
-                         ldb, C, ldc);
-  else
-    gemm_opt3_body<false>(eng, cfg.unroll_factor, M, N, K, alpha, A, lda, B,
-                          ldb, C, ldc);
+  const int unroll = cfg.unroll_factor;
+  const int in_regs = std::min(unroll, kMaxAccRegs);
+
+  for (int j = 0; j < N;) {
+    const auto gvl = static_cast<int>(eng.setvl(static_cast<std::size_t>(N - j)));
+    eng.scalar_ops(2);  // strip-mine bookkeeping
+    for (int i = 0; i < M; i += unroll) {
+      const int rows = std::min(unroll, M - i);
+      const int reg_rows = std::min(rows, in_regs);
+      eng.scalar_ops(3);  // i-loop bookkeeping + address setup
+      const float* a_tile = A + static_cast<std::size_t>(i) * lda;
+      float* c_tile = C + static_cast<std::size_t>(i) * ldc + j;
+
+      // Load the C tile into vector accumulators (v0..v(reg_rows-1)).
+      for (int u = 0; u < reg_rows; ++u)
+        eng.vload(u, c_tile + static_cast<std::size_t>(u) * ldc);
+
+      if (rows == reg_rows)
+        eng.vfma_vf_tile({.first = 0, .rows = rows, .vb = kVB, .kc = K,
+                          .b = B + j, .b_step = ldb, .a = a_tile,
+                          .a_row_bytes = static_cast<std::size_t>(lda) *
+                                         sizeof(float),
+                          .alpha = alpha});
+      else
+        spilled_k_loop(eng, rows, reg_rows, K, alpha, a_tile, lda, B + j, ldb,
+                       c_tile, ldc);
+
+      for (int u = 0; u < reg_rows; ++u)
+        eng.vstore(u, c_tile + static_cast<std::size_t>(u) * ldc);
+    }
+    j += gvl;
+  }
 }
 
 }  // namespace vlacnn::gemm

@@ -142,88 +142,35 @@ void Gemm6::pack_a_panel(vla::VectorEngine& eng, const float* A, int lda,
 }
 
 namespace {
-/// Widens one stored A element of format F to fp32 — cast-on-load,
-/// accumulate-in-fp32 — and bills the widen to the scalar pipe.
-template <PackFormat F>
-float load_a(vla::VectorEngine& eng, const std::uint8_t* p) {
-  if constexpr (F == PackFormat::F32 || F == PackFormat::SparseF32) {
-    float v;
-    std::memcpy(&v, p, sizeof(v));
-    return v;
-  } else if constexpr (F == PackFormat::Bf16 || F == PackFormat::SparseBf16) {
-    // The widen is a pure bit shift (exact), billed as one scalar op.
-    std::uint16_t h;
-    std::memcpy(&h, p, sizeof(h));
-    eng.scalar_ops(1);
-    return f32_from_bf16(h);
-  } else {
-    static_assert(F == PackFormat::Int8PerChannel);
-    // Integer-domain accumulation: the FMA sees the raw quantized value;
-    // the per-channel scale is applied once per output element by the
-    // epilogue (dequant pre-multiply), not per FMA.
-    eng.scalar_ops(1);
-    return static_cast<float>(*reinterpret_cast<const std::int8_t*>(p));
+/// The engine's widen-on-load format for an A image stored as F.
+vla::ScalarFormat scalar_format(PackFormat f) {
+  switch (f) {
+    case PackFormat::Bf16:
+    case PackFormat::SparseBf16:
+      return vla::ScalarFormat::Bf16;
+    case PackFormat::Int8PerChannel:
+      // Integer-domain accumulation: the FMA sees the raw quantized value;
+      // the per-channel scale is applied once per output element by the
+      // epilogue (dequant pre-multiply), not per FMA.
+      return vla::ScalarFormat::Int8;
+    default:
+      return vla::ScalarFormat::F32;
   }
 }
 
-/// One k-step of a tile: v[u] += alpha * A(u) * kVB for rows u, where row
-/// u's A element sits `row_bytes` past row u-1's.
-template <PackFormat F, bool kScaled>
-void fma_rows(vla::VectorEngine& eng, int rows, const std::uint8_t* a0,
-              std::size_t row_bytes, float alpha) {
-  for (int u = 0; u < rows; ++u) {
-    const std::uint8_t* a_ptr = a0 + static_cast<std::size_t>(u) * row_bytes;
-    eng.scalar_mem(a_ptr, pack_elem_bytes(F), false);
-    float av = load_a<F>(eng, a_ptr);
-    if constexpr (kScaled) {
-      av *= alpha;
-      eng.scalar_ops(1);
-    }
-    eng.vfma_scalar(u, av, kVB);
-  }
-}
-
-/// Row k of strip column j of a B panel: b_stride == -1 flags the packed
-/// micro-panel layout (see pack_b_panel), else B is row-major.
-const float* b_row(const float* b_panel, int b_stride, int kc, int panel_w,
-                   int j, int k) {
-  if (b_stride >= 0)
-    return b_panel + static_cast<std::size_t>(k) * b_stride + j;
-  return b_panel +
-         (static_cast<std::size_t>(j) / panel_w) * kc * panel_w +
-         static_cast<std::size_t>(k) * panel_w;
+/// Row 0 of strip column j of a B panel. b_stride == -1 flags the packed
+/// micro-panel layout (see pack_b_panel), whose rows are panel_w floats
+/// apart; else B is row-major, with rows b_stride apart.
+const float* b_strip(const float* b_panel, int b_stride, int kc, int panel_w,
+                     int j) {
+  if (b_stride >= 0) return b_panel + j;
+  return b_panel + (static_cast<std::size_t>(j) / panel_w) * kc * panel_w;
 }
 }  // namespace
 
-Gemm6::MicroKernel Gemm6::pick_micro_kernel(PackFormat fmt, bool scaled) {
-  if (scaled) {
-    // alpha != 1 comes only through the fp32 entry points (operator(),
-    // gemm_weights); the conv paths that consume reduced-precision and
-    // sparse images always pass alpha = 1.
-    VLACNN_ASSERT(fmt == PackFormat::F32, "alpha != 1 on a non-fp32 A image");
-    return &Gemm6::micro_kernel<PackFormat::F32, true>;
-  }
-  switch (fmt) {
-    case PackFormat::F32:
-      return &Gemm6::micro_kernel<PackFormat::F32, false>;
-    case PackFormat::Bf16:
-      return &Gemm6::micro_kernel<PackFormat::Bf16, false>;
-    case PackFormat::Int8PerChannel:
-      return &Gemm6::micro_kernel<PackFormat::Int8PerChannel, false>;
-    case PackFormat::SparseF32:
-      return &Gemm6::micro_kernel_sparse<PackFormat::SparseF32>;
-    case PackFormat::SparseBf16:
-      return &Gemm6::micro_kernel_sparse<PackFormat::SparseBf16>;
-  }
-  VLACNN_ASSERT(false, "unknown pack format");
-  return nullptr;
-}
-
-template <class KLoop>
-void Gemm6::c_tile(vla::VectorEngine& eng, int rows, int gvl, float* C,
-                   int ldc, int ci, int cj, bool beta0,
-                   const dnn::EpilogueDesc* epi, const void* a_pf,
-                   std::size_t a_pf_bytes, const float* b_pf, KLoop&& k_loop) {
+void Gemm6::tile_open(vla::VectorEngine& eng, int rows, int gvl, float* C,
+                      int ldc, int ci, int cj, bool beta0, const void* a_pf,
+                      std::size_t a_pf_bytes, const float* b_pf) {
   const auto c_off = [&](int u) {
     return static_cast<std::size_t>(ci + u) * ldc + cj;
   };
@@ -246,12 +193,14 @@ void Gemm6::c_tile(vla::VectorEngine& eng, int rows, int gvl, float* C,
       eng.vload(u, C + c_off(u));
     }
   }
+}
 
-  k_loop();
-
+void Gemm6::tile_close(vla::VectorEngine& eng, int rows, float* C, int ldc,
+                       int ci, int cj, const dnn::EpilogueDesc* epi) {
   // beta0 stores and the one-pass epilogue run for EVERY tile — a fully
   // pruned sparse row block still owns its output rows.
   for (int u = 0; u < rows; ++u) {
+    const std::size_t c_off = static_cast<std::size_t>(ci + u) * ldc + cj;
     // Last k-panel of a fused conv: BN/bias/activation happen here, on
     // the accumulator registers, instead of as separate passes that
     // re-stream the output tensor (kVB is dead after the k-loop).
@@ -262,66 +211,66 @@ void Gemm6::c_tile(vla::VectorEngine& eng, int rows, int gvl, float* C,
         // Fused shortcut: the skip tensor shares C's layout, so the
         // addend for this tile slice sits at the same offset (kVTmp is
         // dead outside the packing stages).
-        eng.vload(kVB, epi->residual + c_off(u));
+        eng.vload(kVB, epi->residual + c_off);
         eng.vadd(u, u, kVB);
         dnn::apply_activation_reg(eng, epi->residual_act, u, kVTmp);
       }
     }
-    eng.vstore(u, C + c_off(u));
+    eng.vstore(u, C + c_off);
   }
 }
 
-template <PackFormat F, bool kScaled>
-void Gemm6::micro_kernel(vla::VectorEngine& eng, int mc, int nc, int kc,
-                         float alpha, const APanel& a, const float* b_panel,
-                         int b_stride, float* C, int ldc, int i0, int j0,
-                         bool beta0, const dnn::EpilogueDesc* epi) {
+void Gemm6::micro_kernel(vla::VectorEngine& eng, PackFormat fmt, int mc,
+                         int nc, int kc, float alpha, const APanel& a,
+                         const float* b_panel, int b_stride, float* C,
+                         int ldc, int i0, int j0, bool beta0,
+                         const dnn::EpilogueDesc* epi) {
   const int unroll = cfg_.unroll_factor;
   const int panel_w = static_cast<int>(eng.vlmax());
+  const std::ptrdiff_t b_step = b_stride >= 0 ? b_stride : panel_w;
   // A-panel addressing in bytes: a resident reduced-precision image stores
   // 2-byte (bf16) or 1-byte (int8) elements in the identical panel
   // geometry, which is precisely where the weight-stream DRAM saving comes
   // from — the k-walk touches half / a quarter of the cache lines.
-  constexpr std::size_t a_elem = pack_elem_bytes(F);
+  const std::size_t a_elem = pack_elem_bytes(fmt);
   const std::size_t a_row = static_cast<std::size_t>(a.stride) * a_elem;
   for (int j = 0; j < nc;) {
     const auto gvl =
         static_cast<int>(eng.setvl(static_cast<std::size_t>(nc - j)));
     eng.scalar_ops(2);
+    const float* b0 = b_strip(b_panel, b_stride, kc, panel_w, j);
     for (int i = 0; i < mc; i += unroll) {
       const int rows = std::min(unroll, mc - i);
       eng.scalar_ops(3);
       const std::uint8_t* a_tile = static_cast<const std::uint8_t*>(a.data) +
                                    static_cast<std::size_t>(i) * a_row;
-      const auto k_loop = [&] {
-        for (int k = 0; k < kc; ++k) {
-          const float* b_addr = b_row(b_panel, b_stride, kc, panel_w, j, k);
-          if (cfg_.prefetch && (k & 15) == 0) {
-            // Fig. 3 lines 16-17: stream the next packed lines into L1.
-            eng.prefetch(b_addr, 64, 1);
-            eng.prefetch(a_tile + k * a_elem, 64, 1);
-          }
-          eng.vload(kVB, b_addr);
-          eng.scalar_ops(2);
-          fma_rows<F, kScaled>(eng, rows, a_tile + k * a_elem, a_row, alpha);
-        }
-      };
-      c_tile(eng, rows, gvl, C, ldc, i0 + i, j0 + j, beta0, epi, a_tile,
-             static_cast<std::size_t>(rows) * a_row, b_panel + j, k_loop);
+      tile_open(eng, rows, gvl, C, ldc, i0 + i, j0 + j, beta0, a_tile,
+                static_cast<std::size_t>(rows) * a_row, b_panel + j);
+      eng.vfma_vf_tile({0, rows, kVB, kc, b0, b_step, a_tile, a_row,
+                        scalar_format(fmt), alpha},
+                       [&](int k) {
+                         if (cfg_.prefetch && (k & 15) == 0) {
+                           // Fig. 3 lines 16-17: stream the next packed
+                           // lines into L1.
+                           eng.prefetch(b0 + k * b_step, 64, 1);
+                           eng.prefetch(a_tile + k * a_elem, 64, 1);
+                         }
+                       });
+      tile_close(eng, rows, C, ldc, i0 + i, j0 + j, epi);
     }
     j += gvl;
   }
 }
 
-template <PackFormat F>
-void Gemm6::micro_kernel_sparse(vla::VectorEngine& eng, int mc, int nc,
-                                int kc, float /*alpha*/, const APanel& a,
+void Gemm6::micro_kernel_sparse(vla::VectorEngine& eng, PackFormat fmt,
+                                int mc, int nc, int kc, const APanel& a,
                                 const float* b_panel, int b_stride, float* C,
                                 int ldc, int i0, int j0, bool beta0,
                                 const dnn::EpilogueDesc* epi) {
   const PackedWeights& img = *a.sparse;
   const int panel_w = static_cast<int>(eng.vlmax());
-  constexpr std::size_t a_elem = pack_elem_bytes(F);
+  const std::ptrdiff_t b_step = b_stride >= 0 ? b_stride : panel_w;
+  const std::size_t a_elem = pack_elem_bytes(fmt);
   const int nchunks = (kc + kSparseBlockK - 1) / kSparseBlockK;
   // Rows advance in the sparse granule (kSparseBlockM) rather than the
   // configured unroll: each output element's k-walk is strictly ascending
@@ -332,6 +281,7 @@ void Gemm6::micro_kernel_sparse(vla::VectorEngine& eng, int mc, int nc,
     const auto gvl =
         static_cast<int>(eng.setvl(static_cast<std::size_t>(nc - j)));
     eng.scalar_ops(2);
+    const float* b0 = b_strip(b_panel, b_stride, kc, panel_w, j);
     for (int i = 0; i < mc; i += kSparseBlockM) {
       const int rows = std::min(kSparseBlockM, mc - i);
       eng.scalar_ops(3);
@@ -346,28 +296,22 @@ void Gemm6::micro_kernel_sparse(vla::VectorEngine& eng, int mc, int nc,
       const std::uint64_t bits = *bits_w;
       const auto* vals =
           static_cast<const std::uint8_t*>(img.sparse_values(seg));
+      tile_open(eng, rows, gvl, C, ldc, i0 + i, j0 + j, beta0, vals,
+                static_cast<std::size_t>(rows) * kSparseBlockK * a_elem,
+                b_panel + j);
       // THE skip: a cleared bit drops the whole 4x16 block — its A loads
       // AND its 16-iteration FMA run — and the compacted stream means the
       // kept blocks it jumps between are still contiguous in memory.
-      const auto k_loop = [&] {
-        for (int cb = 0; cb < nchunks; ++cb) {
-          eng.scalar_ops(1);  // the bit test
-          if ((bits & (1ull << cb)) == 0) continue;
-          const int cw = std::min(kSparseBlockK, kc - cb * kSparseBlockK);
-          if (cfg_.prefetch) eng.prefetch(vals, 64, 1);
-          for (int c = 0; c < cw; ++c) {
-            eng.vload(kVB, b_row(b_panel, b_stride, kc, panel_w, j,
-                                 cb * kSparseBlockK + c));
-            eng.scalar_ops(2);
-            fma_rows<F, false>(eng, rows, vals + c * a_elem, cw * a_elem,
-                               1.0f);
-          }
-          vals += static_cast<std::size_t>(rows) * cw * a_elem;
-        }
-      };
-      c_tile(eng, rows, gvl, C, ldc, i0 + i, j0 + j, beta0, epi, vals,
-             static_cast<std::size_t>(rows) * kSparseBlockK * a_elem,
-             b_panel + j, k_loop);
+      for (int cb = 0; cb < nchunks; ++cb) {
+        eng.scalar_ops(1);  // the bit test
+        if ((bits & (1ull << cb)) == 0) continue;
+        const int cw = std::min(kSparseBlockK, kc - cb * kSparseBlockK);
+        if (cfg_.prefetch) eng.prefetch(vals, 64, 1);
+        eng.vfma_vf_tile({0, rows, kVB, cw, b0 + cb * kSparseBlockK * b_step,
+                          b_step, vals, cw * a_elem, scalar_format(fmt)});
+        vals += static_cast<std::size_t>(rows) * cw * a_elem;
+      }
+      tile_close(eng, rows, C, ldc, i0 + i, j0 + j, epi);
     }
     j += gvl;
   }
@@ -531,7 +475,11 @@ void Gemm6::run_blocked(vla::VectorEngine& eng, int M, int N, int K,
     }
   }
   const PackFormat kernel_fmt = resident ? resident->format() : PackFormat::F32;
-  const MicroKernel kernel = pick_micro_kernel(kernel_fmt, alpha != 1.0f);
+  // alpha != 1 comes only through the fp32 entry points (operator(),
+  // gemm_weights); the conv paths that consume reduced-precision and
+  // sparse images always pass alpha = 1.
+  VLACNN_ASSERT(alpha == 1.0f || kernel_fmt == PackFormat::F32,
+                "alpha != 1 on a non-fp32 A image");
   for (int j1 = 0; j1 < N; j1 += bs.block_n) {
     const int nc = std::min(bs.block_n, N - j1);
     for (int k1 = 0; k1 < K; k1 += bs.block_k) {
@@ -588,8 +536,13 @@ void Gemm6::run_blocked(vla::VectorEngine& eng, int M, int N, int K,
         } else {
           ap = {A + static_cast<std::size_t>(i1) * lda + k1, lda};
         }
-        (this->*kernel)(eng, mc, nc, kc, alpha, ap, b_panel, b_stride, C, ldc,
-                        i1, j1, panel_beta0, panel_epi);
+        if (ap.sparse != nullptr)
+          micro_kernel_sparse(eng, kernel_fmt, mc, nc, kc, ap, b_panel,
+                              b_stride, C, ldc, i1, j1, panel_beta0,
+                              panel_epi);
+        else
+          micro_kernel(eng, kernel_fmt, mc, nc, kc, alpha, ap, b_panel,
+                       b_stride, C, ldc, i1, j1, panel_beta0, panel_epi);
       }
     }
   }

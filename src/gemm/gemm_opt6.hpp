@@ -138,8 +138,8 @@ class Gemm6 {
 
   /// The A panel a micro-kernel invocation consumes: run-time packed
   /// buffers and streamed A are fp32; a resident cache image keeps its own
-  /// storage format, and run_blocked picks the micro-kernel that widens
-  /// that format on load.
+  /// storage format, which run_blocked passes to the micro-kernel to widen
+  /// on load.
   struct APanel {
     const void* data = nullptr;
     int stride = 0;  ///< row stride in ELEMENTS (kc when packed, lda else)
@@ -149,14 +149,6 @@ class Gemm6 {
     const PackedWeights* sparse = nullptr;
     int k1 = 0;
   };
-
-  /// One micro-kernel instantiation (A format x alpha case); run_blocked
-  /// picks it once per call, so no format switch or alpha test runs per FMA.
-  using MicroKernel = void (Gemm6::*)(vla::VectorEngine&, int, int, int,
-                                      float, const APanel&, const float*, int,
-                                      float*, int, int, int, bool,
-                                      const dnn::EpilogueDesc*);
-  static MicroKernel pick_micro_kernel(PackFormat fmt, bool scaled);
 
   void run_blocked(vla::VectorEngine& eng, int M, int N, int K, float alpha,
                    const float* A, int lda, const float* B, int ldb,
@@ -173,29 +165,29 @@ class Gemm6 {
                             int nc);
   void pack_a_panel(vla::VectorEngine& eng, const float* A, int lda, int i0,
                     int mc, int k0, int kc);
-  /// Dense micro-kernel over A elements stored in format F (F32 / Bf16 /
-  /// Int8PerChannel); kScaled applies alpha != 1 to every A element.
-  template <PackFormat F, bool kScaled>
-  void micro_kernel(vla::VectorEngine& eng, int mc, int nc, int kc,
-                    float alpha, const APanel& a, const float* b_panel,
-                    int b_stride, float* C, int ldc, int i0, int j0,
-                    bool beta0, const dnn::EpilogueDesc* epi);
+  /// Dense micro-kernel over A elements stored in `fmt` (F32 / Bf16 /
+  /// Int8PerChannel); alpha != 1 scales every A element.
+  void micro_kernel(vla::VectorEngine& eng, PackFormat fmt, int mc, int nc,
+                    int kc, float alpha, const APanel& a,
+                    const float* b_panel, int b_stride, float* C, int ldc,
+                    int i0, int j0, bool beta0, const dnn::EpilogueDesc* epi);
   /// Skip-aware variant consuming a sparse resident image (a.sparse set,
-  /// F = SparseF32 / SparseBf16, alpha = 1): walks only occupied 4×16
+  /// fmt = SparseF32 / SparseBf16, alpha = 1): walks only occupied 4×16
   /// blocks of each A panel.
-  template <PackFormat F>
-  void micro_kernel_sparse(vla::VectorEngine& eng, int mc, int nc, int kc,
-                           float alpha, const APanel& a, const float* b_panel,
-                           int b_stride, float* C, int ldc, int i0, int j0,
-                           bool beta0, const dnn::EpilogueDesc* epi);
-  /// One rows x gvl C tile at (ci, cj), shared by both micro-kernels: C / A
-  /// / B prefetch, accumulator init (beta0 zero or C load), the caller's
-  /// k-loop, then the fused epilogue and the store.
-  template <class KLoop>
-  void c_tile(vla::VectorEngine& eng, int rows, int gvl, float* C, int ldc,
-              int ci, int cj, bool beta0, const dnn::EpilogueDesc* epi,
-              const void* a_pf, std::size_t a_pf_bytes, const float* b_pf,
-              KLoop&& k_loop);
+  void micro_kernel_sparse(vla::VectorEngine& eng, PackFormat fmt, int mc,
+                           int nc, int kc, const APanel& a,
+                           const float* b_panel, int b_stride, float* C,
+                           int ldc, int i0, int j0, bool beta0,
+                           const dnn::EpilogueDesc* epi);
+  /// The two ends of one rows x gvl C tile at (ci, cj), shared by both
+  /// micro-kernels, around their k-loop: C / A / B prefetch and the
+  /// accumulator init (beta0 zero or C load), then the fused epilogue and
+  /// the store.
+  void tile_open(vla::VectorEngine& eng, int rows, int gvl, float* C, int ldc,
+                 int ci, int cj, bool beta0, const void* a_pf,
+                 std::size_t a_pf_bytes, const float* b_pf);
+  void tile_close(vla::VectorEngine& eng, int rows, float* C, int ldc, int ci,
+                  int cj, const dnn::EpilogueDesc* epi);
 
   Opt6Config cfg_;
   AlignedBuffer<float> pack_a_buf_;

@@ -146,6 +146,191 @@ void VectorEngine::vpermute(Vreg vd, Vreg vs, const std::int32_t* idx) {
     ctx_->timing().vop(sim::VopClass::Permute, vd, {vs}, gvl_);
 }
 
+// ---------------- GEMM micro-tile ----------------
+
+namespace {
+/// Four fp32 lanes: GCC vector extensions, so baseline SSE2 on x86-64
+/// (one xmm register) with no intrinsics and no extra compile flags.
+using v4 = float __attribute__((vector_size(16)));
+
+template <ScalarFormat F>
+float widen(const std::uint8_t* p) {
+  if constexpr (F == ScalarFormat::F32) {
+    float v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+  } else if constexpr (F == ScalarFormat::Bf16) {
+    std::uint16_t h;
+    std::memcpy(&h, p, sizeof(h));
+    const std::uint32_t bits = static_cast<std::uint32_t>(h) << 16;
+    float v;
+    std::memcpy(&v, &bits, sizeof(v));
+    return v;
+  } else {
+    return static_cast<float>(*reinterpret_cast<const std::int8_t*>(p));
+  }
+}
+
+/// NR rows x (4 * NV) lanes of a tile, accumulated in registers over the
+/// whole k-loop: NR * NV accumulators, NV B vectors and one splat. Only the
+/// first `lanes` lanes of the accumulator rows are read and written; B must
+/// hold 4 * NV readable floats per row.
+template <ScalarFormat F, bool kScaled, int NR, int NV>
+void fma_block(float* const* acc_rows, std::size_t lanes,
+               const std::uint8_t* const* a_rows, const float* b,
+               std::ptrdiff_t b_step, int kc, float alpha) {
+  constexpr std::size_t eb = scalar_format_bytes(F);
+  // Lane counts are copied through a temporary, so acc itself never has
+  // its address taken and stays in registers.
+  const auto lanes_of = [&](int v) {
+    return std::min<std::size_t>(4, lanes - 4 * static_cast<std::size_t>(v));
+  };
+  v4 acc[NR][NV];
+  for (int r = 0; r < NR; ++r)
+    for (int v = 0; v < NV; ++v) {
+      v4 x = {};
+      std::memcpy(&x, acc_rows[r] + 4 * v, lanes_of(v) * sizeof(float));
+      acc[r][v] = x;
+    }
+  for (int k = 0; k < kc; ++k) {
+    const float* brow = b + static_cast<std::ptrdiff_t>(k) * b_step;
+    v4 bv[NV];
+    for (int v = 0; v < NV; ++v) std::memcpy(&bv[v], brow + 4 * v, sizeof(v4));
+    for (int r = 0; r < NR; ++r) {
+      float a = widen<F>(a_rows[r] + static_cast<std::size_t>(k) * eb);
+      if constexpr (kScaled) a *= alpha;
+      // {a,a,a,a}, not v4{} + a, which would turn -0.0 into +0.0.
+      const v4 s = {a, a, a, a};
+      for (int v = 0; v < NV; ++v) acc[r][v] = acc[r][v] + s * bv[v];
+    }
+  }
+  for (int r = 0; r < NR; ++r)
+    for (int v = 0; v < NV; ++v) {
+      const v4 x = acc[r][v];
+      std::memcpy(acc_rows[r] + 4 * v, &x, lanes_of(v) * sizeof(float));
+    }
+}
+
+template <ScalarFormat F, bool kScaled, int NV>
+void fma_block_rows(int nr, float* const* acc_rows, std::size_t lanes,
+                    const std::uint8_t* const* a_rows, const float* b,
+                    std::ptrdiff_t b_step, int kc, float alpha) {
+  switch (nr) {
+    case 1:
+      return fma_block<F, kScaled, 1, NV>(acc_rows, lanes, a_rows, b, b_step,
+                                          kc, alpha);
+    case 2:
+      return fma_block<F, kScaled, 2, NV>(acc_rows, lanes, a_rows, b, b_step,
+                                          kc, alpha);
+    case 3:
+      return fma_block<F, kScaled, 3, NV>(acc_rows, lanes, a_rows, b, b_step,
+                                          kc, alpha);
+    default:
+      return fma_block<F, kScaled, 4, NV>(acc_rows, lanes, a_rows, b, b_step,
+                                          kc, alpha);
+  }
+}
+
+/// The tile in 4-row blocks, each over 8-lane chunks, then a 4-lane chunk,
+/// then the last 1..3 lanes against `tail_b` (B's tail lanes, zero-padded
+/// to 4 per row).
+template <ScalarFormat F, bool kScaled>
+void fma_tile_blocks(float* acc0, std::size_t acc_stride, const FmaTile& t,
+                     std::size_t gvl, const float* tail_b) {
+  const auto* a0 = static_cast<const std::uint8_t*>(t.a);
+  const std::size_t tail = gvl % 4;
+  for (int u0 = 0; u0 < t.rows; u0 += 4) {
+    const int nr = std::min(4, t.rows - u0);
+    float* acc[4];
+    const std::uint8_t* a_rows[4];
+    for (int r = 0; r < nr; ++r) {
+      acc[r] = acc0 + static_cast<std::size_t>(u0 + r) * acc_stride;
+      a_rows[r] = a0 + static_cast<std::size_t>(u0 + r) * t.a_row_bytes;
+    }
+    std::size_t l = 0;
+    const auto shift = [&](std::size_t by) {
+      for (int r = 0; r < nr; ++r) acc[r] += by;
+      l += by;
+    };
+    for (; l + 8 <= gvl; shift(8))
+      fma_block_rows<F, kScaled, 2>(nr, acc, 8, a_rows, t.b + l, t.b_step,
+                                    t.kc, t.alpha);
+    if (l + 4 <= gvl) {
+      fma_block_rows<F, kScaled, 1>(nr, acc, 4, a_rows, t.b + l, t.b_step,
+                                    t.kc, t.alpha);
+      shift(4);
+    }
+    if (tail != 0)
+      fma_block_rows<F, kScaled, 1>(nr, acc, tail, a_rows, tail_b, 4, t.kc,
+                                    t.alpha);
+  }
+}
+
+template <ScalarFormat F>
+void fma_tile_format(float* acc0, std::size_t acc_stride, const FmaTile& t,
+                     std::size_t gvl, const float* tail_b) {
+  if (t.alpha != 1.0f)
+    fma_tile_blocks<F, true>(acc0, acc_stride, t, gvl, tail_b);
+  else
+    fma_tile_blocks<F, false>(acc0, acc_stride, t, gvl, tail_b);
+}
+}  // namespace
+
+void VectorEngine::check_tile(const FmaTile& t) const {
+  VLACNN_REQUIRE(t.rows >= 1 && t.kc >= 0, "bad FMA tile shape");
+  check_vreg(t.first);
+  check_vreg(t.first + t.rows - 1);
+  check_vreg(t.vb);
+  VLACNN_REQUIRE(t.vb < t.first || t.vb >= t.first + t.rows,
+                 "FMA tile B register overlaps its accumulators");
+}
+
+void VectorEngine::fma_tile_arith(const FmaTile& t) {
+  const std::size_t gvl = gvl_;
+  const std::size_t tail = gvl % 4;
+  if (tail != 0) {
+    // The last 1..3 lanes of every B row, zero-padded, so they too run
+    // four-wide instead of lane by lane.
+    tail_b_.assign(static_cast<std::size_t>(t.kc) * 4, 0.0f);
+    const float* src = t.b + (gvl - tail);
+    for (int k = 0; k < t.kc; ++k)
+      std::memcpy(tail_b_.data() + static_cast<std::size_t>(k) * 4,
+                  src + static_cast<std::ptrdiff_t>(k) * t.b_step,
+                  tail * sizeof(float));
+  }
+  float* acc0 = reg(t.first);
+  switch (t.a_fmt) {
+    case ScalarFormat::F32:
+      fma_tile_format<ScalarFormat::F32>(acc0, vlmax(), t, gvl, tail_b_.data());
+      break;
+    case ScalarFormat::Bf16:
+      fma_tile_format<ScalarFormat::Bf16>(acc0, vlmax(), t, gvl, tail_b_.data());
+      break;
+    case ScalarFormat::Int8:
+      fma_tile_format<ScalarFormat::Int8>(acc0, vlmax(), t, gvl, tail_b_.data());
+      break;
+  }
+  std::memcpy(reg(t.vb), t.b + static_cast<std::ptrdiff_t>(t.kc - 1) * t.b_step,
+              gvl * sizeof(float));
+}
+
+void VectorEngine::replay_fma_step(const FmaTile& t, int k) {
+  const float* brow = t.b + static_cast<std::ptrdiff_t>(k) * t.b_step;
+  note_vmem(sim::VopClass::Load, t.vb, {}, gvl_, brow, gvl_ * sizeof(float),
+            false);
+  sim::VectorTimingModel& timing = ctx_->timing();
+  timing.scalar(2);
+  const std::size_t eb = scalar_format_bytes(t.a_fmt);
+  const auto* a = static_cast<const std::uint8_t*>(t.a) +
+                  static_cast<std::size_t>(k) * eb;
+  for (int u = 0; u < t.rows; ++u) {
+    note_scalar_mem(a + static_cast<std::size_t>(u) * t.a_row_bytes, eb, false);
+    if (t.a_fmt != ScalarFormat::F32) timing.scalar(1);
+    if (t.alpha != 1.0f) timing.scalar(1);
+    timing.vop(sim::VopClass::Fma, t.first + u, {t.first + u, t.vb}, gvl_);
+  }
+}
+
 // ---------------- scalar accounting / test access ----------------
 
 void VectorEngine::note_scalar_mem(const void* addr, std::size_t bytes,

@@ -14,6 +14,32 @@ namespace vlacnn::vla {
 /// Architectural vector register number (v0..v31).
 using Vreg = int;
 
+/// Storage format of the scalar (A) operand stream of
+/// VectorEngine::vfma_vf_tile; each element is widened to fp32 on load.
+enum class ScalarFormat { F32, Bf16, Int8 };
+
+[[nodiscard]] constexpr std::size_t scalar_format_bytes(ScalarFormat f) {
+  return f == ScalarFormat::F32 ? 4 : f == ScalarFormat::Bf16 ? 2 : 1;
+}
+
+/// One GEMM micro-tile for VectorEngine::vfma_vf_tile: row u's k-th A
+/// element sits at `a + u * a_row_bytes + k * scalar_format_bytes(a_fmt)`,
+/// B row k at `b + k * b_step`.
+struct FmaTile {
+  Vreg first = 0;  ///< accumulators v[first] .. v[first + rows - 1]
+  int rows = 0;
+  Vreg vb = 0;     ///< receives each B row in turn
+  int kc = 0;
+  const float* b = nullptr;
+  std::ptrdiff_t b_step = 0;  ///< floats between B rows
+  const void* a = nullptr;
+  std::size_t a_row_bytes = 0;
+  ScalarFormat a_fmt = ScalarFormat::F32;
+  /// alpha != 1: each widened A value is pre-multiplied (rounded) by alpha
+  /// and the multiply billed as one scalar op.
+  float alpha = 1.0f;
+};
+
 /// Vector-length-agnostic vector engine: the substitute for RVV / SVE
 /// hardware intrinsics.
 ///
@@ -29,12 +55,20 @@ using Vreg = int;
 /// scoreboard timing model and the cache hierarchy, so the same kernel code
 /// yields both numerics and simulated cycles.
 ///
-/// The hot ops (setvl, unit-stride load/store, broadcast, the FMAs, the
-/// element-wise arithmetic and the scalar accounting) are defined inline:
-/// with no context attached they compile to a register check and a plain
-/// lane loop inside the calling kernel. Their instrumentation (the timing
-/// model, note_vmem, note_scalar_mem) is out of line and runs only when
-/// `ctx_ != nullptr`. Strided loads, gathers and permutes are out of line.
+/// It has 21 ops. The hot ones (setvl, unit-stride load/store, broadcast,
+/// the FMAs, the element-wise arithmetic and the scalar accounting) are
+/// defined inline: with no context attached they compile to a register
+/// check and a plain lane loop inside the calling kernel. Their
+/// instrumentation (the timing model, note_vmem, note_scalar_mem) is out of
+/// line and runs only when `ctx_ != nullptr`. Strided loads, gathers and
+/// permutes are out of line.
+///
+/// `vfma_vf_tile` is the one op that stands for many instructions: the
+/// whole k-loop of a GEMM micro-tile, a `vfmacc.vf` per accumulator row per
+/// k-step. Its arithmetic runs once, in host registers; with a context
+/// attached it then replays, per k-step, exactly the events the
+/// per-instruction loop (vload, scalar_ops, scalar_mem, vfma_scalar) would
+/// issue, in the same order (see the op's comment).
 class VectorEngine {
  public:
   static constexpr unsigned kNumVregs = 32;
@@ -153,6 +187,46 @@ class VectorEngine {
       ctx_->timing().vop(sim::VopClass::Fma, vacc, {vacc, vb}, n);
   }
 
+  /// The k-loop of a GEMM micro-tile, gvl() lanes wide:
+  ///
+  ///   for k < t.kc:  v[t.vb] = B row k
+  ///                  for u < t.rows:  v[t.first + u] += A(u, k) * v[t.vb]
+  ///
+  /// where A(u, k) is widened exactly (bf16: bit shift; int8: integer
+  /// value) and, when alpha != 1, pre-multiplied by alpha. Every lane gets
+  /// `acc + a * b` with k ascending and two roundings, as vfma_scalar does.
+  ///
+  /// End state: registers v[first .. first+rows-1] and v[vb] hold what the
+  /// loop leaves (v[vb] = B row kc-1) and mem_bytes_read() has grown by
+  /// kc * (gvl * 4 + rows * element bytes). kc == 0 does nothing.
+  ///
+  /// With a context attached, each k-step then replays, in order:
+  ///   1. per_k(k) (called only with a context; for instrumentation-only
+  ///      ops such as prefetch);
+  ///   2. the B load (a unit-stride Load of gvl elements into v[vb]);
+  ///   3. scalar_ops(2), the k-loop bookkeeping;
+  ///   4. per row u: the scalar A load, scalar_ops(1) for the bf16 / int8
+  ///      widen, scalar_ops(1) for alpha != 1, and the Fma writing
+  ///      v[first+u] from {v[first+u], v[vb]}.
+  template <class PerK>
+  void vfma_vf_tile(const FmaTile& t, PerK&& per_k) {
+    check_tile(t);
+    if (t.kc == 0) return;
+    fma_tile_arith(t);
+    const std::size_t eb = scalar_format_bytes(t.a_fmt);
+    count_mem(static_cast<std::size_t>(t.kc) *
+                  (gvl_ * sizeof(float) + static_cast<std::size_t>(t.rows) * eb),
+              false);
+    if (ctx_ == nullptr) return;
+    for (int k = 0; k < t.kc; ++k) {
+      per_k(k);
+      replay_fma_step(t, k);
+    }
+  }
+  void vfma_vf_tile(const FmaTile& t) {
+    vfma_vf_tile(t, [](int) {});
+  }
+
 #define VLACNN_DEFINE_SCALAR_OP(NAME, EXPR)                        \
   void NAME(Vreg vd, Vreg va, float b) {                           \
     check_vreg(vd);                                                \
@@ -220,6 +294,12 @@ class VectorEngine {
                    "vector register out of range");
   }
 
+  void check_tile(const FmaTile& t) const;
+  /// vfma_vf_tile's arithmetic and end state, in host registers.
+  void fma_tile_arith(const FmaTile& t);
+  /// vfma_vf_tile's simulator events for k-step k.
+  void replay_fma_step(const FmaTile& t, int k);
+
   // Instrumentation hooks: called only with a context attached.
   void note_vmem(sim::VopClass cls, int dst, std::initializer_list<int> srcs,
                  std::size_t elements, const void* addr, std::size_t bytes,
@@ -240,6 +320,7 @@ class VectorEngine {
   std::uint64_t bytes_read_ = 0;
   std::uint64_t bytes_written_ = 0;
   std::vector<float> regfile_;  // kNumVregs * vlmax()
+  std::vector<float> tail_b_;   // fma_tile_arith's zero-padded B lane tail
 };
 
 }  // namespace vlacnn::vla
