@@ -68,10 +68,12 @@ BENCHMARK(BM_GemmVariant<gemm::GemmVariant::Opt6Loop>)
     ->Args({256, 2048});
 
 // tiny@96's hot GEMM shapes on a 512-bit engine, as (M, K, N):
-//  * 1024 x 4608 x 9, the tail strip of the late 3x3 layers: every
+//  * 1024 x 4608 x 9, layer 12 (3x3 over 512 channels at 3x3): every
 //    vector-scalar FMA covers 9 of 16 lanes;
-//  * 256 x 2304 x 288, layer 21 batch-fused at batch 8 (N = 8 x 36): the
-//    wide shape offline-batch serves.
+//  * 256 x 3456 x 288, layer 21 (3x3 over the 128 + 256 routed channels
+//    at 6x6) batch-fused at batch 8, N = 8 x 36. The analytic A64FX
+//    batch-8 plan runs it as weight-resident fused Gemm6, so the Opt6
+//    row is the served kernel (here A is packed per call, there once).
 // Items are logical FMA instructions (vfmacc.vf: one accumulator row x one
 // strip per k-step), however the engine groups them, so items_per_second
 // inverts to ns per simulated instruction; `flops` is the GFLOP/s.
@@ -122,7 +124,7 @@ void BM_SimGemmNarrowN(benchmark::State& state) {
 #define VLACNN_HOT_SHAPES(BM, V) \
   BENCHMARK(BM<V>)                \
       ->Args({1024, 4608, 9})     \
-      ->Args({256, 2304, 288})    \
+      ->Args({256, 3456, 288})    \
       ->Unit(benchmark::kMillisecond)
 VLACNN_HOT_SHAPES(BM_GemmNarrowN, gemm::GemmVariant::Opt3Loop);
 VLACNN_HOT_SHAPES(BM_GemmNarrowN, gemm::GemmVariant::Opt6Loop);

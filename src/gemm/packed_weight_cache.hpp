@@ -128,20 +128,12 @@ void apply_block_mask(float* weights, int m, int k, int block_k,
 
 /// fp32 -> bf16 with round-to-nearest-even (the standard truncation-plus-
 /// rounding-bias formula). Values exactly representable in bf16 round-trip
-/// bit-exactly through f32_from_bf16.
+/// bit-exactly through vla::f32_from_bf16.
 [[nodiscard]] inline std::uint16_t bf16_from_f32(float x) {
   std::uint32_t bits;
   std::memcpy(&bits, &x, sizeof(bits));
   const std::uint32_t lsb = (bits >> 16) & 1u;
   return static_cast<std::uint16_t>((bits + 0x7FFFu + lsb) >> 16);
-}
-
-/// bf16 -> fp32 widening: a pure bit shift, always exact.
-[[nodiscard]] inline float f32_from_bf16(std::uint16_t h) {
-  const std::uint32_t bits = static_cast<std::uint32_t>(h) << 16;
-  float x;
-  std::memcpy(&x, &bits, sizeof(x));
-  return x;
 }
 
 /// Symmetric per-channel int8 scale: amax/127, or 1.0 for an all-zero

@@ -162,10 +162,7 @@ float widen(const std::uint8_t* p) {
   } else if constexpr (F == ScalarFormat::Bf16) {
     std::uint16_t h;
     std::memcpy(&h, p, sizeof(h));
-    const std::uint32_t bits = static_cast<std::uint32_t>(h) << 16;
-    float v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
+    return f32_from_bf16(h);
   } else {
     return static_cast<float>(*reinterpret_cast<const std::int8_t*>(p));
   }

@@ -22,6 +22,14 @@ enum class ScalarFormat { F32, Bf16, Int8 };
   return f == ScalarFormat::F32 ? 4 : f == ScalarFormat::Bf16 ? 2 : 1;
 }
 
+/// bf16 -> fp32 widening: a pure bit shift, always exact.
+[[nodiscard]] inline float f32_from_bf16(std::uint16_t h) {
+  const std::uint32_t bits = static_cast<std::uint32_t>(h) << 16;
+  float x;
+  std::memcpy(&x, &bits, sizeof(x));
+  return x;
+}
+
 /// One GEMM micro-tile for VectorEngine::vfma_vf_tile: row u's k-th A
 /// element sits at `a + u * a_row_bytes + k * scalar_format_bytes(a_fmt)`,
 /// B row k at `b + k * b_step`.

@@ -33,10 +33,7 @@ float load_a(VectorEngine& eng, const std::uint8_t* p, ScalarFormat f) {
   if (f == ScalarFormat::Bf16) {
     std::uint16_t h;
     std::memcpy(&h, p, sizeof(h));
-    const std::uint32_t bits = static_cast<std::uint32_t>(h) << 16;
-    float v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
+    return f32_from_bf16(h);
   }
   return static_cast<float>(*reinterpret_cast<const std::int8_t*>(p));
 }

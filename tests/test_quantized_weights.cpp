@@ -23,6 +23,7 @@
 #include "dnn/models.hpp"
 #include "gemm/packed_weight_cache.hpp"
 #include "sim/machine_config.hpp"
+#include "vla/vector_engine.hpp"
 #include "test_util.hpp"
 
 namespace vlacnn::gemm {
@@ -66,8 +67,8 @@ TEST(QuantizedWeights, Bf16RoundTripExactForRepresentable) {
   const int m = 7, k = 13, block_k = 5;
   std::vector<float> w = test::random_vec(
       static_cast<std::size_t>(m) * k, 11, -8.0f, 8.0f);
-  for (auto& x : w) x = f32_from_bf16(bf16_from_f32(x));
-  for (float x : w) EXPECT_EQ(f32_from_bf16(bf16_from_f32(x)), x);
+  for (auto& x : w) x = vla::f32_from_bf16(bf16_from_f32(x));
+  for (float x : w) EXPECT_EQ(vla::f32_from_bf16(bf16_from_f32(x)), x);
 
   const PackedWeights img(w.data(), m, k, block_k, PackFormat::Bf16);
   EXPECT_EQ(img.format(), PackFormat::Bf16);
@@ -77,7 +78,7 @@ TEST(QuantizedWeights, Bf16RoundTripExactForRepresentable) {
     for (int c = 0; c < k; ++c) {
       std::uint16_t h;
       std::memcpy(&h, image_elem(img, i, c), sizeof(h));
-      EXPECT_EQ(f32_from_bf16(h), w[static_cast<std::size_t>(i) * k + c])
+      EXPECT_EQ(vla::f32_from_bf16(h), w[static_cast<std::size_t>(i) * k + c])
           << "row=" << i << " col=" << c;
     }
   }

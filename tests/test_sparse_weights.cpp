@@ -29,6 +29,7 @@
 #include "gemm/packed_weight_cache.hpp"
 #include "runtime/batch_scheduler.hpp"
 #include "sim/machine_config.hpp"
+#include "vla/vector_engine.hpp"
 #include "test_util.hpp"
 
 namespace vlacnn::gemm {
@@ -157,7 +158,7 @@ TEST(SparseWeights, SparseImageLayoutRoundTripsKeptBlocks) {
               } else {
                 std::uint16_t h;
                 std::memcpy(&h, e, sizeof(h));
-                v = f32_from_bf16(h);
+                v = vla::f32_from_bf16(h);
               }
               rebuilt[static_cast<std::size_t>(rb * kSparseBlockM + r) * k +
                       pk * block_k + cb * kSparseBlockK + c] = v;
@@ -175,7 +176,7 @@ TEST(SparseWeights, SparseImageLayoutRoundTripsKeptBlocks) {
     for (std::size_t i = 0; i < rebuilt.size(); ++i) {
       const float want = fmt == PackFormat::SparseF32
                              ? pruned[i]
-                             : f32_from_bf16(bf16_from_f32(pruned[i]));
+                             : vla::f32_from_bf16(bf16_from_f32(pruned[i]));
       EXPECT_EQ(rebuilt[i], want) << "elem " << i << " " << to_string(fmt);
     }
   }
