@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -27,6 +28,10 @@ std::vector<float> rand_vec(std::size_t n, std::uint64_t seed) {
   std::vector<float> v(n);
   for (auto& x : v) x = rng.uniform(-1.0f, 1.0f);
   return v;
+}
+
+std::string tile_label() {
+  return "tile lanes " + std::to_string(vla::tile_lanes());
 }
 
 void BM_GemmRef(benchmark::State& state) {
@@ -76,7 +81,8 @@ BENCHMARK(BM_GemmVariant<gemm::GemmVariant::Opt6Loop>)
 //    row is the served kernel (here A is packed per call, there once).
 // Items are logical FMA instructions (vfmacc.vf: one accumulator row x one
 // strip per k-step), however the engine groups them, so items_per_second
-// inverts to ns per simulated instruction; `flops` is the GFLOP/s.
+// inverts to ns per simulated instruction; `flops` is the GFLOP/s. The label
+// names the host width the engine's tile ops ran at (tile_lanes()).
 void run_gemm_shape(benchmark::State& state, vla::VectorEngine& eng,
                     gemm::GemmVariant variant) {
   const auto m = static_cast<int>(state.range(0));
@@ -102,6 +108,7 @@ void run_gemm_shape(benchmark::State& state, vla::VectorEngine& eng,
   state.counters["flops"] = benchmark::Counter(
       2.0 * m * n * k * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);
+  state.SetLabel(tile_label());
 }
 
 template <gemm::GemmVariant V>
@@ -184,6 +191,55 @@ void BM_WinogradConvFull(benchmark::State& state) {
                           static_cast<std::int64_t>(d.flops()));
 }
 BENCHMARK(BM_WinogradConvFull)->Arg(16)->Arg(64);
+
+// The fused-Winograd layers of offline-batch's plan (tiny@96, batch 8,
+// select_per_layer on a64fx with the analytic cost model), one image each
+// on the 512-bit engine that workload serves on, as (in_c, out_c, hw):
+// layer 2 16 -> 32 at 48x48, layer 4 32 -> 64 at 24x24 and layer 6
+// 64 -> 128 at 12x12. The layers' epilogue (BN, bias, leaky) is fused.
+// `flops` is the GFLOP/s of the equivalent direct convolution; the label
+// names the tile ops' host width.
+void BM_WinogradServed(benchmark::State& state) {
+  dnn::ConvDesc d;
+  d.in_c = static_cast<int>(state.range(0));
+  d.out_c = static_cast<int>(state.range(1));
+  d.in_h = d.in_w = static_cast<int>(state.range(2));
+  d.ksize = 3;
+  d.stride = 1;
+  d.pad = 1;
+  auto in = rand_vec(static_cast<std::size_t>(d.in_c) * d.in_h * d.in_w, 5);
+  auto w = rand_vec(static_cast<std::size_t>(d.weight_count()), 6);
+  auto mean = rand_vec(static_cast<std::size_t>(d.out_c), 7);
+  auto var = rand_vec(static_cast<std::size_t>(d.out_c), 8);
+  auto scale = rand_vec(static_cast<std::size_t>(d.out_c), 9);
+  auto bias = rand_vec(static_cast<std::size_t>(d.out_c), 10);
+  for (auto& v : var) v = v * v + 0.5f;
+  std::vector<float> out(static_cast<std::size_t>(d.out_c) * d.out_h() *
+                         d.out_w());
+  dnn::EpilogueDesc epi;
+  epi.batch_norm = true;
+  epi.bn_mean = mean.data();
+  epi.bn_var = var.data();
+  epi.bn_scale = scale.data();
+  epi.bias = bias.data();
+  epi.act = dnn::Activation::Leaky;
+  vla::VectorEngine eng(512);
+  winograd::WinogradConv wino;
+  for (auto _ : state) {
+    wino.run(eng, d, in.data(), w.data(), out.data(), &epi);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["flops"] = benchmark::Counter(
+      d.flops() * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+  state.SetLabel(tile_label());
+}
+BENCHMARK(BM_WinogradServed)
+    ->Args({16, 32, 48})
+    ->Args({32, 64, 24})
+    ->Args({64, 128, 12})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,5 +1,15 @@
 #include "vla/vector_engine.hpp"
 
+#include <utility>
+
+// x86-64 GCC builds an AVX2 copy of the tile ops' arithmetic next to the
+// baseline one and picks between them once per process (tile_lanes()).
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#define VLACNN_AVX2_TILES 1
+#else
+#define VLACNN_AVX2_TILES 0
+#endif
+
 namespace vlacnn::vla {
 
 namespace {
@@ -10,7 +20,8 @@ VectorEngine::VectorEngine(unsigned vlen_bits)
     : vlen_bits_(vlen_bits), gvl_(vlen_bits / 32) {
   VLACNN_REQUIRE(is_pow2(vlen_bits) && vlen_bits >= 128 && vlen_bits <= 65536,
                  "vector length must be a power of two in [128, 65536] bits");
-  regfile_.assign(static_cast<std::size_t>(kNumVregs) * vlmax(), 0.0f);
+  regfile_.resize(static_cast<std::size_t>(kNumVregs) * vlmax());
+  regfile_.fill(0.0f);
 }
 
 VectorEngine::VectorEngine(sim::SimContext& ctx)
@@ -146,13 +157,9 @@ void VectorEngine::vpermute(Vreg vd, Vreg vs, const std::int32_t* idx) {
     ctx_->timing().vop(sim::VopClass::Permute, vd, {vs}, gvl_);
 }
 
-// ---------------- GEMM micro-tile ----------------
+// ---------------- tile ops ----------------
 
 namespace {
-/// Four fp32 lanes: GCC vector extensions, so baseline SSE2 on x86-64
-/// (one xmm register) with no intrinsics and no extra compile flags.
-using v4 = float __attribute__((vector_size(16)));
-
 template <ScalarFormat F>
 float widen(const std::uint8_t* p) {
   if constexpr (F == ScalarFormat::F32) {
@@ -168,110 +175,69 @@ float widen(const std::uint8_t* p) {
   }
 }
 
-/// NR rows x (4 * NV) lanes of a tile, accumulated in registers over the
-/// whole k-loop: NR * NV accumulators, NV B vectors and one splat. Only the
-/// first `lanes` lanes of the accumulator rows are read and written; B must
-/// hold 4 * NV readable floats per row.
-template <ScalarFormat F, bool kScaled, int NR, int NV>
-void fma_block(float* const* acc_rows, std::size_t lanes,
-               const std::uint8_t* const* a_rows, const float* b,
-               std::ptrdiff_t b_step, int kc, float alpha) {
-  constexpr std::size_t eb = scalar_format_bytes(F);
-  // Lane counts are copied through a temporary, so acc itself never has
-  // its address taken and stays in registers.
-  const auto lanes_of = [&](int v) {
-    return std::min<std::size_t>(4, lanes - 4 * static_cast<std::size_t>(v));
-  };
-  v4 acc[NR][NV];
-  for (int r = 0; r < NR; ++r)
-    for (int v = 0; v < NV; ++v) {
-      v4 x = {};
-      std::memcpy(&x, acc_rows[r] + 4 * v, lanes_of(v) * sizeof(float));
-      acc[r][v] = x;
-    }
-  for (int k = 0; k < kc; ++k) {
-    const float* brow = b + static_cast<std::ptrdiff_t>(k) * b_step;
-    v4 bv[NV];
-    for (int v = 0; v < NV; ++v) std::memcpy(&bv[v], brow + 4 * v, sizeof(v4));
-    for (int r = 0; r < NR; ++r) {
-      float a = widen<F>(a_rows[r] + static_cast<std::size_t>(k) * eb);
-      if constexpr (kScaled) a *= alpha;
-      // {a,a,a,a}, not v4{} + a, which would turn -0.0 into +0.0.
-      const v4 s = {a, a, a, a};
-      for (int v = 0; v < NV; ++v) acc[r][v] = acc[r][v] + s * bv[v];
-    }
-  }
-  for (int r = 0; r < NR; ++r)
-    for (int v = 0; v < NV; ++v) {
-      const v4 x = acc[r][v];
-      std::memcpy(acc_rows[r] + 4 * v, &x, lanes_of(v) * sizeof(float));
-    }
+namespace lanes4 {
+using vec = float __attribute__((vector_size(16)));
+#include "vla/tile_arith.inc"
+}  // namespace lanes4
+}  // namespace
+
+// The 8-lane body: compiled for AVX2 by this pragma alone, never by a
+// per-file flag, so nothing outside namespace lanes8 (header inline
+// functions included) can contain an AVX instruction.
+#if VLACNN_AVX2_TILES
+#pragma GCC push_options
+#pragma GCC target("avx2")
+namespace {
+namespace lanes8 {
+using vec = float __attribute__((vector_size(32)));
+#include "vla/tile_arith.inc"
+}  // namespace lanes8
+}  // namespace
+#pragma GCC pop_options
+#endif
+
+namespace {
+struct TileBodies {
+  void (*fma)(float*, std::size_t, const FmaTile&, std::size_t, const float*);
+  void (*vv)(float*, std::size_t, const VvTile&, std::size_t, const float*,
+             const float*);
+};
+
+}  // namespace
+
+int tile_lanes() {
+#if VLACNN_AVX2_TILES
+  static const int lanes = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") ? 8 : 4;
+  }();
+  return lanes;
+#else
+  return 4;
+#endif
 }
 
-template <ScalarFormat F, bool kScaled, int NV>
-void fma_block_rows(int nr, float* const* acc_rows, std::size_t lanes,
-                    const std::uint8_t* const* a_rows, const float* b,
-                    std::ptrdiff_t b_step, int kc, float alpha) {
-  switch (nr) {
-    case 1:
-      return fma_block<F, kScaled, 1, NV>(acc_rows, lanes, a_rows, b, b_step,
-                                          kc, alpha);
-    case 2:
-      return fma_block<F, kScaled, 2, NV>(acc_rows, lanes, a_rows, b, b_step,
-                                          kc, alpha);
-    case 3:
-      return fma_block<F, kScaled, 3, NV>(acc_rows, lanes, a_rows, b, b_step,
-                                          kc, alpha);
-    default:
-      return fma_block<F, kScaled, 4, NV>(acc_rows, lanes, a_rows, b, b_step,
-                                          kc, alpha);
-  }
-}
-
-/// The tile in 4-row blocks, each over 8-lane chunks, then a 4-lane chunk,
-/// then the last 1..3 lanes against `tail_b` (B's tail lanes, zero-padded
-/// to 4 per row).
-template <ScalarFormat F, bool kScaled>
-void fma_tile_blocks(float* acc0, std::size_t acc_stride, const FmaTile& t,
-                     std::size_t gvl, const float* tail_b) {
-  const auto* a0 = static_cast<const std::uint8_t*>(t.a);
-  const std::size_t tail = gvl % 4;
-  for (int u0 = 0; u0 < t.rows; u0 += 4) {
-    const int nr = std::min(4, t.rows - u0);
-    float* acc[4];
-    const std::uint8_t* a_rows[4];
-    for (int r = 0; r < nr; ++r) {
-      acc[r] = acc0 + static_cast<std::size_t>(u0 + r) * acc_stride;
-      a_rows[r] = a0 + static_cast<std::size_t>(u0 + r) * t.a_row_bytes;
-    }
-    std::size_t l = 0;
-    const auto shift = [&](std::size_t by) {
-      for (int r = 0; r < nr; ++r) acc[r] += by;
-      l += by;
-    };
-    for (; l + 8 <= gvl; shift(8))
-      fma_block_rows<F, kScaled, 2>(nr, acc, 8, a_rows, t.b + l, t.b_step,
-                                    t.kc, t.alpha);
-    if (l + 4 <= gvl) {
-      fma_block_rows<F, kScaled, 1>(nr, acc, 4, a_rows, t.b + l, t.b_step,
-                                    t.kc, t.alpha);
-      shift(4);
-    }
-    if (tail != 0)
-      fma_block_rows<F, kScaled, 1>(nr, acc, tail, a_rows, tail_b, 4, t.kc,
-                                    t.alpha);
-  }
-}
-
-template <ScalarFormat F>
-void fma_tile_format(float* acc0, std::size_t acc_stride, const FmaTile& t,
-                     std::size_t gvl, const float* tail_b) {
-  if (t.alpha != 1.0f)
-    fma_tile_blocks<F, true>(acc0, acc_stride, t, gvl, tail_b);
-  else
-    fma_tile_blocks<F, false>(acc0, acc_stride, t, gvl, tail_b);
+namespace {
+const TileBodies& tile_bodies(int lanes) {
+  VLACNN_REQUIRE(lanes == 4 || lanes == tile_lanes(),
+                 "tile width must be 4 or the host's widest");
+  static constexpr TileBodies k4{lanes4::fma_tile, lanes4::vv_tile};
+#if VLACNN_AVX2_TILES
+  static constexpr TileBodies k8{lanes8::fma_tile, lanes8::vv_tile};
+  if (lanes == 8) return k8;
+#endif
+  return k4;
 }
 }  // namespace
+
+namespace detail {
+void fma_tile_functional(VectorEngine& eng, const FmaTile& t, int lanes) {
+  eng.fma_tile_arith(t, lanes);
+}
+void vv_tile_functional(VectorEngine& eng, const VvTile& t, int lanes) {
+  eng.vv_tile_arith(t, lanes);
+}
+}  // namespace detail
 
 void VectorEngine::check_tile(const FmaTile& t) const {
   VLACNN_REQUIRE(t.rows >= 1 && t.kc >= 0, "bad FMA tile shape");
@@ -282,33 +248,85 @@ void VectorEngine::check_tile(const FmaTile& t) const {
                  "FMA tile B register overlaps its accumulators");
 }
 
-void VectorEngine::fma_tile_arith(const FmaTile& t) {
+void VectorEngine::check_tile(const VvTile& t) const {
+  VLACNN_REQUIRE(t.tiles >= 1 && t.tiles <= 8 && t.kc >= 0,
+                 "bad tuple tile shape");
+  check_vreg(t.first);
+  check_vreg(t.first + t.tiles - 1);
+  check_vreg(t.vu);
+  check_vreg(t.vbase);
+  check_vreg(t.vbase + t.tiles - 1);
+  const auto in = [&](Vreg r, Vreg lo) { return r >= lo && r < lo + t.tiles; };
+  VLACNN_REQUIRE(!in(t.vu, t.first) && !in(t.vu, t.vbase),
+                 "tuple tile U register overlaps its accumulators or V rows");
+  VLACNN_REQUIRE(t.vbase + t.tiles <= t.first || t.first + t.tiles <= t.vbase,
+                 "tuple tile V registers overlap its accumulators");
+}
+
+bool VectorEngine::fma_tile_arith(const FmaTile& t, int lanes) {
+  check_tile(t);
+  if (t.kc == 0) return false;
   const std::size_t gvl = gvl_;
-  const std::size_t tail = gvl % 4;
+  const auto w = static_cast<std::size_t>(lanes);
+  const std::size_t tail = gvl % w;
   if (tail != 0) {
-    // The last 1..3 lanes of every B row, zero-padded, so they too run
-    // four-wide instead of lane by lane.
-    tail_b_.assign(static_cast<std::size_t>(t.kc) * 4, 0.0f);
+    // The last gvl % W lanes of every B row, zero-padded, so they too run
+    // W-wide instead of lane by lane.
+    tail_.assign(static_cast<std::size_t>(t.kc) * w, 0.0f);
     const float* src = t.b + (gvl - tail);
     for (int k = 0; k < t.kc; ++k)
-      std::memcpy(tail_b_.data() + static_cast<std::size_t>(k) * 4,
+      std::memcpy(tail_.data() + static_cast<std::size_t>(k) * w,
                   src + static_cast<std::ptrdiff_t>(k) * t.b_step,
                   tail * sizeof(float));
   }
-  float* acc0 = reg(t.first);
-  switch (t.a_fmt) {
-    case ScalarFormat::F32:
-      fma_tile_format<ScalarFormat::F32>(acc0, vlmax(), t, gvl, tail_b_.data());
-      break;
-    case ScalarFormat::Bf16:
-      fma_tile_format<ScalarFormat::Bf16>(acc0, vlmax(), t, gvl, tail_b_.data());
-      break;
-    case ScalarFormat::Int8:
-      fma_tile_format<ScalarFormat::Int8>(acc0, vlmax(), t, gvl, tail_b_.data());
-      break;
-  }
+  tile_bodies(lanes).fma(reg(t.first), vlmax(), t, gvl, tail_.data());
   std::memcpy(reg(t.vb), t.b + static_cast<std::ptrdiff_t>(t.kc - 1) * t.b_step,
               gvl * sizeof(float));
+  const std::size_t eb = scalar_format_bytes(t.a_fmt);
+  count_mem(static_cast<std::size_t>(t.kc) *
+                (gvl * sizeof(float) + static_cast<std::size_t>(t.rows) * eb),
+            false);
+  return true;
+}
+
+bool VectorEngine::vv_tile_arith(const VvTile& t, int lanes) {
+  check_tile(t);
+  if (t.kc == 0) return false;
+  const std::size_t gvl = gvl_;
+  const auto w = static_cast<std::size_t>(lanes);
+  const std::size_t tail = gvl % w;
+  const auto tiles = static_cast<std::size_t>(t.tiles);
+  const auto u_row = [&](int k) {
+    return t.u + static_cast<std::ptrdiff_t>(k) * t.u_step;
+  };
+  const auto v_row = [&](int k, std::size_t i) {
+    return t.v + static_cast<std::ptrdiff_t>(k) * t.v_step +
+           static_cast<std::ptrdiff_t>(i) * t.v_tile_step;
+  };
+  float* tu = nullptr;
+  float* tv = nullptr;
+  if (tail != 0) {
+    // The last gvl % W lanes of every U and V row, zero-padded.
+    const std::size_t off = gvl - tail;
+    tail_.assign(static_cast<std::size_t>(t.kc) * w * (1 + tiles), 0.0f);
+    tu = tail_.data();
+    tv = tu + static_cast<std::size_t>(t.kc) * w;
+    for (int k = 0; k < t.kc; ++k) {
+      const auto kk = static_cast<std::size_t>(k);
+      std::memcpy(tu + kk * w, u_row(k) + off, tail * sizeof(float));
+      for (std::size_t i = 0; i < tiles; ++i)
+        std::memcpy(tv + (kk * tiles + i) * w, v_row(k, i) + off,
+                    tail * sizeof(float));
+    }
+  }
+  tile_bodies(lanes).vv(reg(t.first), vlmax(), t, gvl, tu, tv);
+  std::memcpy(reg(t.vu), u_row(t.kc - 1), gvl * sizeof(float));
+  for (std::size_t i = 0; i < tiles; ++i)
+    std::memcpy(reg(t.vbase + static_cast<Vreg>(i)), v_row(t.kc - 1, i),
+                gvl * sizeof(float));
+  count_mem(static_cast<std::size_t>(t.kc) * gvl * sizeof(float) * (1 + tiles),
+            false);
+  return true;
 }
 
 void VectorEngine::replay_fma_step(const FmaTile& t, int k) {
@@ -325,6 +343,22 @@ void VectorEngine::replay_fma_step(const FmaTile& t, int k) {
     if (t.a_fmt != ScalarFormat::F32) timing.scalar(1);
     if (t.alpha != 1.0f) timing.scalar(1);
     timing.vop(sim::VopClass::Fma, t.first + u, {t.first + u, t.vb}, gvl_);
+  }
+}
+
+void VectorEngine::replay_vv_step(const VvTile& t, int k) {
+  const std::size_t bytes = gvl_ * sizeof(float);
+  note_vmem(sim::VopClass::Load, t.vu, {}, gvl_,
+            t.u + static_cast<std::ptrdiff_t>(k) * t.u_step, bytes, false);
+  sim::VectorTimingModel& timing = ctx_->timing();
+  timing.scalar(2);
+  const float* vrow = t.v + static_cast<std::ptrdiff_t>(k) * t.v_step;
+  for (int i = 0; i < t.tiles; ++i) {
+    note_vmem(sim::VopClass::Load, t.vbase + i, {}, gvl_,
+              vrow + static_cast<std::ptrdiff_t>(i) * t.v_tile_step, bytes,
+              false);
+    timing.vop(sim::VopClass::Fma, t.first + i,
+               {t.first + i, t.vu, t.vbase + i}, gvl_);
   }
 }
 

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/aligned_buffer.hpp"
 #include "common/error.hpp"
 #include "sim/sim_context.hpp"
 
@@ -48,6 +49,38 @@ struct FmaTile {
   float alpha = 1.0f;
 };
 
+/// One block of Winograd's tuple multiply for VectorEngine::vfma_vv_tile:
+/// U row k sits at `u + k * u_step`, V row (k, i) of tile i at
+/// `v + k * v_step + i * v_tile_step` (all steps in floats).
+struct VvTile {
+  Vreg first = 0;  ///< accumulators v[first] .. v[first + tiles - 1]
+  int tiles = 0;   ///< 1..8
+  Vreg vu = 0;     ///< receives each U row
+  Vreg vbase = 0;  ///< v[vbase + i] receives each V row of tile i
+  int kc = 0;
+  const float* u = nullptr;
+  std::ptrdiff_t u_step = 0;
+  const float* v = nullptr;
+  std::ptrdiff_t v_step = 0;
+  std::ptrdiff_t v_tile_step = 0;
+};
+
+/// Host vector width, in fp32 lanes, of the tile ops' arithmetic: 8 where
+/// an x86-64 GCC build runs on a host with AVX2, else 4. Chosen once per
+/// process from CPUID; the simulated numbers never depend on it.
+[[nodiscard]] int tile_lanes();
+
+class VectorEngine;
+
+namespace detail {
+/// The functional part of vfma_vf_tile / vfma_vv_tile (register checks,
+/// arithmetic, end state, traffic counters; no simulator events) at an
+/// explicit width: 4, or tile_lanes(). The ops always run at tile_lanes();
+/// this entry lets the differential tests run both bodies.
+void fma_tile_functional(VectorEngine& eng, const FmaTile& t, int lanes);
+void vv_tile_functional(VectorEngine& eng, const VvTile& t, int lanes);
+}  // namespace detail
+
 /// Vector-length-agnostic vector engine: the substitute for RVV / SVE
 /// hardware intrinsics.
 ///
@@ -63,7 +96,7 @@ struct FmaTile {
 /// scoreboard timing model and the cache hierarchy, so the same kernel code
 /// yields both numerics and simulated cycles.
 ///
-/// It has 21 ops. The hot ones (setvl, unit-stride load/store, broadcast,
+/// It has 22 ops. The hot ones (setvl, unit-stride load/store, broadcast,
 /// the FMAs, the element-wise arithmetic and the scalar accounting) are
 /// defined inline: with no context attached they compile to a register
 /// check and a plain lane loop inside the calling kernel. Their
@@ -71,12 +104,16 @@ struct FmaTile {
 /// line and runs only when `ctx_ != nullptr`. Strided loads, gathers and
 /// permutes are out of line.
 ///
-/// `vfma_vf_tile` is the one op that stands for many instructions: the
-/// whole k-loop of a GEMM micro-tile, a `vfmacc.vf` per accumulator row per
-/// k-step. Its arithmetic runs once, in host registers; with a context
-/// attached it then replays, per k-step, exactly the events the
-/// per-instruction loop (vload, scalar_ops, scalar_mem, vfma_scalar) would
-/// issue, in the same order (see the op's comment).
+/// Two tile ops each stand for many instructions: `vfma_vf_tile`, the whole
+/// k-loop of a GEMM micro-tile (a `vfmacc.vf` per accumulator row per
+/// k-step), and `vfma_vv_tile`, the input-channel loop of Winograd's tuple
+/// multiply (a `vfmacc.vv` per tile per channel). Their arithmetic runs
+/// once, in host registers, from one body for both the functional and the
+/// simulated engine; with a context attached each op then replays, per
+/// k-step, exactly the events the per-instruction loop would issue, in the
+/// same order (see the ops' comments). That body is compiled at 4 host
+/// lanes and, on x86-64 GCC, also at 8 lanes for AVX2 (tile_lanes() picks
+/// one per process); both give the same bits.
 class VectorEngine {
  public:
   static constexpr unsigned kNumVregs = 32;
@@ -218,14 +255,7 @@ class VectorEngine {
   ///      v[first+u] from {v[first+u], v[vb]}.
   template <class PerK>
   void vfma_vf_tile(const FmaTile& t, PerK&& per_k) {
-    check_tile(t);
-    if (t.kc == 0) return;
-    fma_tile_arith(t);
-    const std::size_t eb = scalar_format_bytes(t.a_fmt);
-    count_mem(static_cast<std::size_t>(t.kc) *
-                  (gvl_ * sizeof(float) + static_cast<std::size_t>(t.rows) * eb),
-              false);
-    if (ctx_ == nullptr) return;
+    if (!fma_tile_arith(t, tile_lanes()) || ctx_ == nullptr) return;
     for (int k = 0; k < t.kc; ++k) {
       per_k(k);
       replay_fma_step(t, k);
@@ -233,6 +263,31 @@ class VectorEngine {
   }
   void vfma_vf_tile(const FmaTile& t) {
     vfma_vf_tile(t, [](int) {});
+  }
+
+  /// The input-channel loop of a Winograd tuple-multiply block, gvl()
+  /// lanes wide:
+  ///
+  ///   for k < t.kc:  v[t.vu] = U row k
+  ///                  for i < t.tiles:  v[t.vbase + i] = V row (k, i)
+  ///                                    v[t.first + i] +=
+  ///                                        v[t.vu] * v[t.vbase + i]
+  ///
+  /// Every lane gets `acc + u * v` with k ascending and two roundings, as
+  /// vfma does. v[vu] and the V registers must not overlap the
+  /// accumulators or each other.
+  ///
+  /// End state: the accumulators hold the sums, v[vu] = U row kc-1,
+  /// v[vbase+i] = V row (kc-1, i), and mem_bytes_read() has grown by
+  /// kc * gvl * 4 * (1 + tiles). kc == 0 does nothing.
+  ///
+  /// With a context attached, each k-step then replays, in order: the U
+  /// load (a unit-stride Load of gvl elements into v[vu]), scalar_ops(2),
+  /// and per tile i the V load into v[vbase+i] and the Fma writing
+  /// v[first+i] from {v[first+i], v[vu], v[vbase+i]}.
+  void vfma_vv_tile(const VvTile& t) {
+    if (!vv_tile_arith(t, tile_lanes()) || ctx_ == nullptr) return;
+    for (int k = 0; k < t.kc; ++k) replay_vv_step(t, k);
   }
 
 #define VLACNN_DEFINE_SCALAR_OP(NAME, EXPR)                        \
@@ -303,10 +358,16 @@ class VectorEngine {
   }
 
   void check_tile(const FmaTile& t) const;
-  /// vfma_vf_tile's arithmetic and end state, in host registers.
-  void fma_tile_arith(const FmaTile& t);
-  /// vfma_vf_tile's simulator events for k-step k.
+  void check_tile(const VvTile& t) const;
+  /// A tile op's functional part at `lanes` host lanes: checks, arithmetic,
+  /// end state and traffic counters. False (and nothing done) when kc == 0.
+  bool fma_tile_arith(const FmaTile& t, int lanes);
+  bool vv_tile_arith(const VvTile& t, int lanes);
+  friend void detail::fma_tile_functional(VectorEngine&, const FmaTile&, int);
+  friend void detail::vv_tile_functional(VectorEngine&, const VvTile&, int);
+  /// A tile op's simulator events for k-step k.
   void replay_fma_step(const FmaTile& t, int k);
+  void replay_vv_step(const VvTile& t, int k);
 
   // Instrumentation hooks: called only with a context attached.
   void note_vmem(sim::VopClass cls, int dst, std::initializer_list<int> srcs,
@@ -327,8 +388,10 @@ class VectorEngine {
   std::size_t gvl_;
   std::uint64_t bytes_read_ = 0;
   std::uint64_t bytes_written_ = 0;
-  std::vector<float> regfile_;  // kNumVregs * vlmax()
-  std::vector<float> tail_b_;   // fma_tile_arith's zero-padded B lane tail
+  // kNumVregs * vlmax(); aligned so a 512-bit register is one host cache
+  // line and no host vector load splits a line.
+  AlignedBuffer<float> regfile_;
+  std::vector<float> tail_;  // the tile ops' zero-padded operand lane tails
 };
 
 }  // namespace vlacnn::vla

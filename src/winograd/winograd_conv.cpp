@@ -226,14 +226,14 @@ void WinogradConv::tuple_multiply(vla::VectorEngine& eng,
                                   const dnn::ConvDesc& d, const Plan& plan,
                                   const float* u) {
   // Vectorize across the 64 tuple elements (16 blocks x 4 elements, paper
-  // §IV-B); register-unroll over 4 tiles to overlap the FMA chains. The
-  // batched GEMM is cache-blocked over tiles so the V panel of a tile block
-  // stays resident across the whole output-channel loop (NNPACK's tuple
-  // GEMM blocking): otherwise V would re-stream from memory per output
-  // channel, which is exactly the traffic Winograd exists to avoid.
+  // §IV-B). The batched GEMM is cache-blocked over tiles so the V panel of
+  // a tile block stays resident across the whole output-channel loop
+  // (NNPACK's tuple GEMM blocking): otherwise V would re-stream from memory
+  // per output channel, which is exactly the traffic Winograd exists to
+  // avoid.
   const std::size_t vec_e = std::min<std::size_t>(eng.vlmax(), kTileElems);
   // Eight accumulator chains hide the load-to-FMA latency (v0..v7 accs,
-  // v8 = U, v9..v16 = V operands).
+  // v8 = U, v9..v16 = V operands); one engine op runs the in_c loop.
   constexpr int kTileUnroll = 8;
   // V panel for one block: in_c * kTileBlock * 64 floats; 16 tiles keep it
   // within a few hundred KB for the paper's layer widths.
@@ -251,20 +251,13 @@ void WinogradConv::tuple_multiply(vla::VectorEngine& eng,
           const int tn = std::min(kTileUnroll, tb_end - t0);
           eng.setvl(std::min(vec_e, kTileElems - e0));
           for (int tt = 0; tt < tn; ++tt) eng.vbroadcast(tt, 0.0f);
-          for (int ic = 0; ic < d.in_c; ++ic) {
-            eng.vload(kURow,
-                      u_oc + static_cast<std::size_t>(ic) * kTileElems + e0);
-            eng.scalar_ops(2);
-            for (int tt = 0; tt < tn; ++tt) {
-              eng.vload(kVRowBase + tt,
-                        v_buf_.data() +
-                            (static_cast<std::size_t>(ic) * plan.tiles + t0 +
-                             tt) *
-                                kTileElems +
-                            e0);
-              eng.vfma(tt, kURow, kVRowBase + tt);
-            }
-          }
+          eng.vfma_vv_tile(
+              {.first = 0, .tiles = tn, .vu = kURow, .vbase = kVRowBase,
+               .kc = d.in_c, .u = u_oc + e0, .u_step = kTileElems,
+               .v = v_buf_.data() +
+                    static_cast<std::size_t>(t0) * kTileElems + e0,
+               .v_step = static_cast<std::ptrdiff_t>(plan.tiles) * kTileElems,
+               .v_tile_step = kTileElems});
           for (int tt = 0; tt < tn; ++tt)
             eng.vstore(tt, m_oc + (static_cast<std::size_t>(t0) + tt) *
                                        kTileElems +

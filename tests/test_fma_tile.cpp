@@ -1,7 +1,9 @@
-// Differential test of VectorEngine::vfma_vf_tile against the per-instruction
-// k-loop the GEMM micro-kernels issued before it (the oracle below, kept
-// verbatim): same register lanes bit for bit, same traffic counters and,
-// with a simulator attached, the same timing, cache and DRAM statistics.
+// Differential tests of VectorEngine's tile ops against the per-instruction
+// loops the kernels issued before them (the oracles below, kept verbatim):
+// vfma_vf_tile against the GEMM micro-kernels' k-loop, vfma_vv_tile against
+// Winograd's tuple-multiply loop. Same register lanes bit for bit, at both
+// host widths where the host has AVX2, same traffic counters and, with a
+// simulator attached, the same timing, cache and DRAM statistics.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -217,7 +220,8 @@ void expect_same_sim(sim::SimContext& ref, sim::SimContext& got,
       << name;
 }
 
-TEST(FmaTile, MatchesPerInstructionLoopBitwise) {
+/// The 400 seeded cases through the tile arithmetic at `lanes` host lanes.
+void expect_matches_oracle(int lanes) {
   Rng rng(20261019);
   const unsigned vlens[] = {128, 512, 2048, 16384};
   const auto no_hook = [](int) {};
@@ -227,11 +231,21 @@ TEST(FmaTile, MatchesPerInstructionLoopBitwise) {
     run_case(ref, c, [&](VectorEngine& e, const FmaTile& t) {
       reference_tile(e, t, no_hook);
     });
-    run_case(got, c,
-             [](VectorEngine& e, const FmaTile& t) { e.vfma_vf_tile(t); });
-    expect_same_engine(ref, got, c.name);
-    if (HasFatalFailure()) return;
+    run_case(got, c, [lanes](VectorEngine& e, const FmaTile& t) {
+      detail::fma_tile_functional(e, t, lanes);
+    });
+    expect_same_engine(ref, got, c.name + " lanes=" + std::to_string(lanes));
+    if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+TEST(FmaTile, MatchesPerInstructionLoopBitwise) {
+  expect_matches_oracle(4);
+  if (HasFatalFailure()) return;
+  if (tile_lanes() < 8)
+    GTEST_SKIP() << "host has no AVX2: the 8-lane tile body was not run "
+                    "(the 4-lane body matched)";
+  expect_matches_oracle(8);
 }
 
 TEST(FmaTile, ReplaysTheSameSimulatedEventStream) {
@@ -305,5 +319,192 @@ TEST(FmaTile, RejectsBadRegisters) {
   EXPECT_THROW(eng.vfma_vf_tile(past_end), InvalidArgument);
 }
 
+
+// ---- vfma_vv_tile: Winograd's tuple multiply ----
+
+/// The tuple-multiply loop WinogradConv::tuple_multiply issued per block.
+void reference_vv_tile(VectorEngine& eng, const VvTile& t) {
+  for (int ic = 0; ic < t.kc; ++ic) {
+    eng.vload(t.vu, t.u + static_cast<std::ptrdiff_t>(ic) * t.u_step);
+    eng.scalar_ops(2);
+    for (int tt = 0; tt < t.tiles; ++tt) {
+      eng.vload(t.vbase + tt,
+                t.v + static_cast<std::ptrdiff_t>(ic) * t.v_step +
+                    static_cast<std::ptrdiff_t>(tt) * t.v_tile_step);
+      eng.vfma(t.first + tt, t.vu, t.vbase + tt);
+    }
+  }
+}
+
+struct VvCase {
+  unsigned vlen = 512;
+  std::size_t gvl_req = 1;
+  VvTile tile;
+  std::vector<float> u, v;
+  std::vector<float> regs;  // kNumVregs x vlmax lanes
+  std::string name;
+};
+
+/// Accumulators, V registers and the U register in a random order with
+/// random gaps; V rows either k-major (as Winograd lays them out) or
+/// tile-major.
+VvCase draw_vv(Rng& rng, unsigned vlen) {
+  VvCase c;
+  c.vlen = vlen;
+  const std::size_t vlmax = vlen / 32;
+  const std::size_t gvls[] = {1, 3, 4, 9, 16, vlmax};
+  c.gvl_req = gvls[rng.next_below(std::size(gvls))];
+  const std::uint64_t every = rng.next_below(2) == 0 ? 8 : 2;
+  const std::size_t gvl = std::min(c.gvl_req, vlmax);
+  VvTile& t = c.tile;
+  t.tiles = 1 + static_cast<int>(rng.next_below(8));
+  t.kc = 1 + static_cast<int>(rng.next_below(70));
+  const int sizes[3] = {t.tiles, t.tiles, 1};
+  int order[3] = {0, 1, 2};
+  for (int j = 2; j > 0; --j)
+    std::swap(order[j], order[rng.next_below(j + 1)]);
+  int spare = static_cast<int>(VectorEngine::kNumVregs) - (2 * t.tiles + 1);
+  int pos = 0;
+  Vreg base[3];
+  for (const int j : order) {
+    const int gap = static_cast<int>(rng.next_below(spare + 1));
+    spare -= gap;
+    base[j] = pos + gap;
+    pos = base[j] + sizes[j];
+  }
+  t.first = base[0];
+  t.vbase = base[1];
+  t.vu = base[2];
+  const bool k_major = rng.next_below(2) == 0;
+  const auto row = static_cast<std::ptrdiff_t>(gvl + rng.next_below(6));
+  t.u_step = static_cast<std::ptrdiff_t>(gvl + rng.next_below(6));
+  if (k_major) {
+    t.v_tile_step = row;
+    t.v_step = t.tiles * row + static_cast<std::ptrdiff_t>(rng.next_below(6));
+  } else {
+    t.v_step = row;
+    t.v_tile_step = t.kc * row + static_cast<std::ptrdiff_t>(rng.next_below(6));
+  }
+  c.u = random_floats(rng, static_cast<std::size_t>(t.kc * t.u_step), every);
+  c.v = random_floats(rng,
+                      static_cast<std::size_t>((t.kc - 1) * t.v_step +
+                                               (t.tiles - 1) * t.v_tile_step) +
+                          gvl,
+                      every);
+  c.regs = random_floats(rng, VectorEngine::kNumVregs * vlmax, every);
+  std::ostringstream os;
+  os << "vlen=" << vlen << " gvl=" << gvl << " tiles=" << t.tiles
+     << " kc=" << t.kc << " first=" << t.first << " vu=" << t.vu
+     << " vbase=" << t.vbase << (k_major ? " k-major" : " tile-major")
+     << " specials=1/" << every;
+  c.name = os.str();
+  return c;
+}
+
+template <class Run>
+void run_vv_case(VectorEngine& eng, VvCase& c, Run&& run) {
+  VvTile t = c.tile;
+  t.u = c.u.data();
+  t.v = c.v.data();
+  for (Vreg v = 0; v < static_cast<Vreg>(VectorEngine::kNumVregs); ++v)
+    for (std::size_t l = 0; l < eng.vlmax(); ++l)
+      eng.set_lane(v, l, c.regs[v * eng.vlmax() + l]);
+  eng.setvl(c.gvl_req);
+  run(eng, t);
+  run(eng, t);
+}
+
+unsigned draw_vlen(Rng& rng) { return 128u << rng.next_below(8); }
+
+void expect_vv_matches_oracle(int lanes) {
+  Rng rng(20261020);
+  for (int i = 0; i < 400; ++i) {
+    VvCase c = draw_vv(rng, draw_vlen(rng));
+    VectorEngine ref(c.vlen), got(c.vlen);
+    run_vv_case(ref, c, reference_vv_tile);
+    run_vv_case(got, c, [lanes](VectorEngine& e, const VvTile& t) {
+      detail::vv_tile_functional(e, t, lanes);
+    });
+    expect_same_engine(ref, got, c.name + " lanes=" + std::to_string(lanes));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(VvTile, MatchesPerInstructionLoopBitwise) {
+  expect_vv_matches_oracle(4);
+  if (HasFatalFailure()) return;
+  if (tile_lanes() < 8)
+    GTEST_SKIP() << "host has no AVX2: the 8-lane tile body was not run "
+                    "(the 4-lane body matched)";
+  expect_vv_matches_oracle(8);
+}
+
+TEST(VvTile, ReplaysTheSameSimulatedEventStream) {
+  Rng rng(11);
+  const sim::MachineConfig machines[] = {sim::rvv_gem5(), sim::sve_gem5(),
+                                         sim::a64fx()};
+  for (const sim::MachineConfig& m : machines) {
+    for (int i = 0; i < 40; ++i) {
+      const unsigned vlen = std::min(draw_vlen(rng), m.max_vlen_bits);
+      VvCase c = draw_vv(rng, vlen);
+      const sim::RegisteredRange u_reg(c.u.data(), c.u.size() * sizeof(float));
+      const sim::RegisteredRange v_reg(c.v.data(), c.v.size() * sizeof(float));
+      sim::SimContext ref_ctx(m.with_vlen(vlen)), got_ctx(m.with_vlen(vlen));
+      VectorEngine ref(ref_ctx), got(got_ctx);
+      run_vv_case(ref, c, reference_vv_tile);
+      run_vv_case(got, c,
+                  [](VectorEngine& e, const VvTile& t) { e.vfma_vv_tile(t); });
+      const std::string name = m.name + " " + c.name;
+      expect_same_engine(ref, got, name);
+      expect_same_sim(ref_ctx, got_ctx, name);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(VvTile, EmptyKLoopDoesNothing) {
+  sim::SimContext ctx(sim::sve_gem5());
+  VectorEngine eng(ctx);
+  eng.setvl(eng.vlmax());
+  eng.vbroadcast(0, 2.0f);
+  eng.vbroadcast(8, 3.0f);
+  eng.vbroadcast(9, 4.0f);
+  const auto before = ctx.timing().stats().vector_instructions;
+  const float u = 5.0f, v = 7.0f;
+  eng.vfma_vv_tile({.first = 0, .tiles = 1, .vu = 8, .vbase = 9, .kc = 0,
+                    .u = &u, .v = &v});
+  EXPECT_EQ(eng.lane(0, 0), 2.0f);
+  EXPECT_EQ(eng.lane(8, 0), 3.0f);
+  EXPECT_EQ(eng.lane(9, 0), 4.0f);
+  EXPECT_EQ(eng.mem_bytes_read(), 0u);
+  EXPECT_EQ(ctx.timing().stats().vector_instructions, before);
+}
+
+TEST(VvTile, RejectsBadRegistersAndWidths) {
+  VectorEngine eng(512);
+  eng.setvl(4);
+  const float u[4] = {}, v[16] = {};
+  const VvTile ok{.first = 0, .tiles = 4, .vu = 8, .vbase = 9, .kc = 1,
+                  .u = u, .u_step = 4, .v = v, .v_step = 16,
+                  .v_tile_step = 4};
+  EXPECT_NO_THROW(eng.vfma_vv_tile(ok));
+  VvTile bad = ok;
+  bad.vu = 3;  // an accumulator
+  EXPECT_THROW(eng.vfma_vv_tile(bad), InvalidArgument);
+  bad = ok;
+  bad.vu = 10;  // a V register
+  EXPECT_THROW(eng.vfma_vv_tile(bad), InvalidArgument);
+  bad = ok;
+  bad.vbase = 2;  // V rows over the accumulators
+  EXPECT_THROW(eng.vfma_vv_tile(bad), InvalidArgument);
+  bad = ok;
+  bad.vbase = 29;  // past v31
+  EXPECT_THROW(eng.vfma_vv_tile(bad), InvalidArgument);
+  bad = ok;
+  bad.tiles = 9;
+  EXPECT_THROW(eng.vfma_vv_tile(bad), InvalidArgument);
+  EXPECT_THROW(detail::vv_tile_functional(eng, ok, 2), InvalidArgument);
+  EXPECT_THROW(detail::vv_tile_functional(eng, ok, 16), InvalidArgument);
+}
 }  // namespace
 }  // namespace vlacnn::vla
