@@ -320,7 +320,7 @@ WeightTraffic weight_traffic(const LayerCase& c, core::BackendPlan plan,
   watch(weights, elems * sizeof(float));
   const std::vector<const dnn::Tensor*> ins{&in};
   layer->prepare_batch(ins);
-  if (batch == 1 || !layer->forward_batch(ctx, ins))
+  if (batch == 1 || !layer->forward_batch(ctx, ins, 0, batch))
     for (int b = 0; b < batch; ++b) layer->forward_item(ctx, ins, b);
   t.dram_per_item = static_cast<double>(
                         sctx.memory().watched_dram_line_fills()) *
@@ -382,7 +382,7 @@ bool outputs(const LayerCase& c, int batch, const Format& f, bool batched,
   const std::vector<const dnn::Tensor*> ins{&in};
   layer->prepare_batch(ins);
   if (batched) {
-    if (!layer->forward_batch(ctx, ins)) return false;
+    if (!layer->forward_batch(ctx, ins, 0, batch)) return false;
   } else {
     for (int b = 0; b < batch; ++b) layer->forward_item(ctx, ins, b);
   }

@@ -5,7 +5,10 @@
 // The headline check: at batch >= 8, 4 workers should deliver >= 2.5x the
 // images/sec of 1 worker on a machine with >= 4 cores (batch items are
 // independent, so scaling is limited only by memory bandwidth and the
-// work graph's barrier layers). The batch=1 rows run one chunk per layer:
+// work graph's barrier layers). The occupancy column is the mean share of
+// the pool busy over a timed run (runtime::ExecStats::occupancy()); workers
+// idle behind a barrier layer show up there first. The batch=1 rows run
+// one chunk per layer:
 // no kernel is split across workers, so extra workers help only where
 // independent graph tasks can overlap, and these rows scale far less than
 // batch >= 8.
@@ -21,11 +24,12 @@
 // --policy=fused runs the fused conv pipeline (implicit-GEMM packing +
 // in-kernel epilogue); --policy=plan runs the simulation-driven per-layer
 // BackendPlan (selected once on the a64fx machine config, then reused for
-// every row). --json appends one
-// {bench, config, wall_ms, bytes_moved, images_per_sec, lat_p50/95/99_ms}
-// record per (threads, batch) row for the perf trajectory — the latency
-// percentiles are over the per-rep batch wall times, so BENCH_*.json tracks
-// tail latency alongside throughput.
+// every row) and, after the table, prints the last run's per-layer backend
+// label and wall time (LayerRecord algo, slowest chunk). --json appends one
+// {bench, config, wall_ms, bytes_moved, images_per_sec, occupancy,
+// lat_p50/95/99_ms} record per (threads, batch) row for the perf
+// trajectory — the latency percentiles are over the per-rep batch wall
+// times, so BENCH_*.json tracks tail latency alongside throughput.
 
 #include <cstdio>
 #include <vector>
@@ -67,13 +71,14 @@ int main(int argc, char** argv) try {
               runtime::ThreadPool::hardware_threads());
   if (policy_name == "plan")
     std::printf("per-layer dispatch table:\n%s", plan.summary().c_str());
-  std::printf("%-8s %-8s %-12s %-12s %-10s\n", "threads", "batch", "sec/run",
-              "images/sec", "speedup");
+  std::printf("%-8s %-8s %-12s %-12s %-10s %-10s\n", "threads", "batch",
+              "sec/run", "images/sec", "speedup", "occupancy");
 
   std::vector<int> thread_counts;
   for (int t = 1; t <= max_threads; t *= 2) thread_counts.push_back(t);
   std::vector<int> batches = quick ? std::vector<int>{1, 8}
                                    : std::vector<int>{1, 8, 16};
+  std::vector<dnn::LayerRecord> last_records;
 
   for (int batch : batches) {
     dnn::Tensor input(batch, net->in_c(), net->in_h(), net->in_w());
@@ -86,7 +91,7 @@ int main(int argc, char** argv) try {
       runtime::BatchScheduler sched(engine, cfg);
       // Warm-up (allocations, weight caches).
       bench::batch_seconds(sched, *net, input);
-      double best = 1e30;
+      double best = 1e30, occupancy = 0.0;
       std::uint64_t run_bytes = 0;
       std::vector<double> lat_ms;  // per-rep batch latency -> tail tracking
       lat_ms.reserve(static_cast<std::size_t>(reps));
@@ -95,21 +100,34 @@ int main(int argc, char** argv) try {
         const double sec = bench::batch_seconds(sched, *net, input);
         lat_ms.push_back(sec * 1e3);
         best = std::min(best, sec);
+        occupancy += sched.exec_stats().occupancy() / reps;
         run_bytes = sched.mem_bytes_moved() - bytes0;  // constant per run
       }
+      last_records = sched.records();
       const double ips = batch / best;
       if (threads == 1) base_ips = ips;
-      std::printf("%-8d %-8d %-12.4f %-12.1f %-10.2f\n", threads, batch, best,
-                  ips, ips / base_ips);
+      std::printf("%-8d %-8d %-12.4f %-12.1f %-10.2f %-10.3f\n", threads,
+                  batch, best, ips, ips / base_ips, occupancy);
       json.add("model=" + model + " policy=" + policy_name +
                    " threads=" + std::to_string(threads) +
                    " batch=" + std::to_string(batch),
                best * 1e3, static_cast<double>(run_bytes),
                {{"images_per_sec", ips},
+                {"occupancy", occupancy},
                 {"lat_p50_ms", percentile(lat_ms, 0.50)},
                 {"lat_p95_ms", percentile(lat_ms, 0.95)},
                 {"lat_p99_ms", percentile(lat_ms, 0.99)}});
     }
+  }
+  if (policy_name == "plan") {
+    Table layers({"layer", "name", "algo", "items", "wall ms"});
+    for (std::size_t i = 0; i < last_records.size(); ++i) {
+      const dnn::LayerRecord& r = last_records[i];
+      layers.add_row({std::to_string(i), r.name, r.algo,
+                      std::to_string(r.items),
+                      Table::fmt(r.wall_seconds * 1e3, 3)});
+    }
+    layers.print("last run, per layer (wall ms = slowest chunk):");
   }
   return json.write() ? 0 : 1;
 } catch (const std::exception& e) {

@@ -83,7 +83,7 @@ const char* to_string(Backend b);
 /// VGG block 5 and the deep small-spatial YOLO layers, where the weight
 /// stream dominates DRAM traffic and epilogue fusion cannot help. These are
 /// the layers worth packing once at prepare() and executing batch-fused so
-/// the resident weight panels are reused across the whole batch.
+/// the resident weight panels are reused across every item of a chunk.
 [[nodiscard]] bool conv_weight_bound(const dnn::ConvDesc& d);
 
 /// One row of a per-layer backend table.
@@ -97,8 +97,8 @@ struct PlanEntry {
   /// Weight-resident layer: its weights are packed once during
   /// ConvolutionEngine::prepare() (skipping the A-pack stage on the hot
   /// path) and the BatchScheduler dispatches it batch-fused — one conv
-  /// call over the whole batch — instead of per item. Only meaningful for
-  /// the Gemm6/FusedGemm6 backends.
+  /// call per work-graph item chunk, over that chunk's items — instead of
+  /// per item. Only meaningful for the Gemm6/FusedGemm6 backends.
   bool weight_resident = false;
   /// Every simulated (backend, cycles) candidate, for reporting.
   std::vector<std::pair<Backend, std::uint64_t>> candidates;
@@ -131,10 +131,10 @@ struct BackendPlan {
 
   /// Weight residency of fallback-routed conv layers (shapes without a
   /// table entry). Leave false for selected plans: an unseen shape could be
-  /// activation-bound, where batch-fusing costs staging and batch-level
-  /// parallelism for nothing. Per-entry residency lives in PlanEntry.
+  /// activation-bound, where batch-fusing costs staging for nothing.
+  /// Per-entry residency lives in PlanEntry.
   bool fallback_weight_resident = false;
-  /// Batch-fuse FC layers (one out(nb×N) += X(nb×K)·W GEMM per batch): an
+  /// Batch-fuse FC layers (one out(nb×N) += X(nb×K)·W GEMM per chunk): an
   /// FC layer's weight matrix is read whole per item — the textbook
   /// weight-bound case — so this is gated separately from the conv
   /// fallback and safe for the selector to set unconditionally.

@@ -127,8 +127,8 @@ void ConvolutionEngine::install(dnn::ExecContext& ctx) {
                               const dnn::EpilogueDesc& epi)
       -> dnn::ConvStatus {
     // Batch-fused execution only for weight-resident layers — the staged
-    // batched C plus the lost batch-level parallelism is only worth paying
-    // where the resident weight stream dominates. The fused kernel serves
+    // batched C is only worth paying where the resident weight stream
+    // dominates. The fused kernel serves
     // both Gemm6 kinds: fused and unfused outputs are bit-identical by
     // contract, and a resident unfused layer wants the traffic cut too.
     if (!plan->weight_resident_for(d)) return dnn::ConvStatus::Declined;

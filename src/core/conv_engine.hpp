@@ -38,8 +38,8 @@ struct EnginePolicy {
   /// Weight residency: pack every GEMM-routed conv layer's weights once at
   /// ConvolutionEngine::prepare() (the A-pack stage disappears from the hot
   /// path) and let the BatchScheduler execute those layers — and FC layers
-  /// — batch-fused, streaming the whole batch past each resident weight
-  /// panel. Off by default: the instrumented paper policies model Darknet's
+  /// — batch-fused, streaming each work-graph item chunk past each
+  /// resident weight panel. Off by default: the instrumented paper policies model Darknet's
   /// per-call packing.
   bool weight_resident = false;
 

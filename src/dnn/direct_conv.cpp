@@ -4,36 +4,6 @@
 
 namespace vlacnn::dnn {
 
-void direct_conv_ref(const ConvDesc& d, const float* input,
-                     const float* weights, float* output) {
-  const int oh = d.out_h(), ow = d.out_w();
-  for (int oc = 0; oc < d.out_c; ++oc) {
-    for (int ic = 0; ic < d.in_c; ++ic) {
-      for (int ky = 0; ky < d.ksize; ++ky) {
-        for (int kx = 0; kx < d.ksize; ++kx) {
-          const float wv =
-              weights[((static_cast<std::size_t>(oc) * d.in_c + ic) * d.ksize +
-                       ky) *
-                          d.ksize +
-                      kx];
-          for (int y = 0; y < oh; ++y) {
-            const int iy = y * d.stride + ky - d.pad;
-            if (iy < 0 || iy >= d.in_h) continue;
-            for (int x = 0; x < ow; ++x) {
-              const int ix = x * d.stride + kx - d.pad;
-              if (ix < 0 || ix >= d.in_w) continue;
-              output[(static_cast<std::size_t>(oc) * oh + y) * ow + x] +=
-                  wv *
-                  input[(static_cast<std::size_t>(ic) * d.in_h + iy) * d.in_w +
-                        ix];
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
 void direct_conv_vla(vla::VectorEngine& eng, const ConvDesc& d,
                      const float* input, const float* weights, float* output) {
   const int oh = d.out_h(), ow = d.out_w();

@@ -20,8 +20,4 @@ namespace vlacnn::dnn {
 void direct_conv_vla(vla::VectorEngine& eng, const ConvDesc& d,
                      const float* input, const float* weights, float* output);
 
-/// Scalar reference for tests.
-void direct_conv_ref(const ConvDesc& d, const float* input,
-                     const float* weights, float* output);
-
 }  // namespace vlacnn::dnn

@@ -43,11 +43,11 @@ using ConvBackendFn = std::function<ConvStatus(
     float* output, const EpilogueDesc& epi)>;
 
 /// Batch-fused convolution dispatch (installed alongside ConvBackendFn for
-/// plans with weight-resident layers): runs the layer once for the WHOLE
-/// batch — the per-item im2col matrices concatenated logically along the
+/// plans with weight-resident layers): runs the layer once for `batch`
+/// items — the per-item im2col matrices concatenated logically along the
 /// GEMM N axis — so each resident weight panel is reused batch× instead of
-/// being re-streamed per item. `input`/`output` point at item 0 and items
-/// are the given strides (in floats) apart; `epi` must not carry a residual
+/// being re-streamed per item. `input`/`output` point at the first item of
+/// the range and items are the given strides (in floats) apart; `epi` must not carry a residual
 /// (the caller applies residual adds per item afterwards). Declined means
 /// the layer is not weight-resident (or the backend cannot batch-fuse it)
 /// and the caller keeps the per-item path.

@@ -22,10 +22,6 @@ void fill_cpu(vla::VectorEngine& eng, std::size_t n, float alpha, float* x) {
   }
 }
 
-void fill_ref(std::size_t n, float alpha, float* x) {
-  for (std::size_t i = 0; i < n; ++i) x[i] = alpha;
-}
-
 void copy_cpu(vla::VectorEngine& eng, std::size_t n, const float* src,
               float* dst) {
   for (std::size_t i = 0; i < n;) {

@@ -9,13 +9,12 @@ namespace vlacnn::dnn {
 
 /// VLA-vectorized versions of every auxiliary kernel of the Darknet
 /// convolutional layer (paper §II-B: fill_cpu, copy_cpu, normalize_cpu,
-/// add_bias, scale_bias, activate_array). Each has a scalar reference
-/// counterpart (suffix `_ref`) used for testing and for the unvectorized
-/// baseline configuration.
+/// add_bias, scale_bias, activate_array). The epilogue kernels have a
+/// scalar reference counterpart (suffix `_ref`) that the unvectorized
+/// baseline configuration runs.
 
 // x[0..n) = alpha
 void fill_cpu(vla::VectorEngine& eng, std::size_t n, float alpha, float* x);
-void fill_ref(std::size_t n, float alpha, float* x);
 
 // dst[0..n) = src[0..n)
 void copy_cpu(vla::VectorEngine& eng, std::size_t n, const float* src,

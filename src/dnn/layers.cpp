@@ -190,13 +190,16 @@ void ConvLayer::forward_item(ExecContext& ctx,
 }
 
 bool ConvLayer::forward_batch(ExecContext& ctx,
-                              const std::vector<const Tensor*>& inputs) {
+                              const std::vector<const Tensor*>& inputs,
+                              int begin, int end) {
   if (!ctx.conv_batch) return false;
   VLACNN_REQUIRE(inputs.size() == (residual_from_ >= 0 ? 2u : 1u) &&
                      inputs[0] != nullptr,
                  "conv input count mismatch");
   const Tensor& in = *inputs[0];
-  const int nb = in.n();
+  VLACNN_REQUIRE(0 <= begin && begin <= end && end <= in.n(),
+                 "batch-fused item range out of bounds");
+  const int nb = end - begin;
   if (nb < 2) return false;
   VLACNN_REQUIRE(in.c() == desc_.in_c && in.h() == desc_.in_h &&
                      in.w() == desc_.in_w,
@@ -222,14 +225,15 @@ bool ConvLayer::forward_batch(ExecContext& ctx,
   epi.act = act_fusable ? desc_.act : Activation::Linear;
 
   const ConvStatus status =
-      ctx.conv_batch(ctx, desc_, in.data(), in.item_size(), weights_.data(),
-                     output_.data(), out_elems, nb, epi);
+      ctx.conv_batch(ctx, desc_, in.item_data(begin), in.item_size(),
+                     weights_.data(), output_.item_data(begin), out_elems, nb,
+                     epi);
   if (status == ConvStatus::Declined) return false;
   VLACNN_REQUIRE(status == ConvStatus::RanFused,
                  "batch-fused conv must apply the epilogue in-kernel");
 
   vla::VectorEngine& eng = ctx.engine();
-  for (int b = 0; b < nb; ++b) {
+  for (int b = begin; b < end; ++b) {
     float* out_b = output_.item_data(b);
     if (!act_fusable) activate_array(eng, out_b, out_elems, desc_.act);
     if (residual_from_ >= 0) {
@@ -446,27 +450,31 @@ void ConnectedLayer::apply_bias_act(vla::VectorEngine& eng, float* out_b) {
 }
 
 bool ConnectedLayer::forward_batch(ExecContext& ctx,
-                                   const std::vector<const Tensor*>& inputs) {
+                                   const std::vector<const Tensor*>& inputs,
+                                   int begin, int end) {
   VLACNN_REQUIRE(inputs.size() == 1, "connected expects one input");
   const Tensor& in = *inputs[0];
-  const int nb = in.n();
+  VLACNN_REQUIRE(0 <= begin && begin <= end && end <= in.n(),
+                 "batch-fused item range out of bounds");
+  const int nb = end - begin;
   if (nb < 2) return false;
   VLACNN_REQUIRE(in.item_size() == static_cast<std::size_t>(in_n_),
                  "connected input size mismatch");
   VLACNN_REQUIRE(static_cast<bool>(ctx.gemm),
                  "ExecContext has no GEMM implementation");
   vla::VectorEngine& eng = ctx.engine();
-  // Batch items are contiguous (item stride == in_n_), so the batch IS a
-  // GEMM A matrix: out(nb×N) += X(nb×K) · W^T(K×N). One call streams the
-  // weight matrix once for the whole batch — and with M = nb > 1 the
-  // 6-loop packs each B panel and reuses it across every item's row —
-  // where the per-item GEMV re-streams all K×N weights per item. The
-  // per-element k-accumulation order is that of the M=1 call, so outputs
-  // are bit-identical to the forward_item loop.
-  fill_cpu(eng, static_cast<std::size_t>(nb) * out_n_, 0.0f, output_.data());
-  ctx.gemm(eng, nb, out_n_, in_n_, 1.0f, in.data(), in_n_, weights_.data(),
-           out_n_, output_.data(), out_n_);
-  for (int b = 0; b < nb; ++b) apply_bias_act(eng, output_.item_data(b));
+  // Batch items are contiguous (item stride == in_n_), so the item range IS
+  // a GEMM A matrix: out(nb×N) += X(nb×K) · W^T(K×N). One call streams the
+  // weight matrix once for the range — and with M = nb > 1 the 6-loop packs
+  // each B panel and reuses it across every item's row — where the
+  // per-item GEMV re-streams all K×N weights per item. The per-element
+  // k-accumulation order is that of the M=1 call, so outputs are
+  // bit-identical to the forward_item loop.
+  float* out = output_.item_data(begin);
+  fill_cpu(eng, static_cast<std::size_t>(nb) * out_n_, 0.0f, out);
+  ctx.gemm(eng, nb, out_n_, in_n_, 1.0f, in.item_data(begin), in_n_,
+           weights_.data(), out_n_, out, out_n_);
+  for (int b = begin; b < end; ++b) apply_bias_act(eng, output_.item_data(b));
   return true;
 }
 

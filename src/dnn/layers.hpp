@@ -32,10 +32,10 @@ class Layer {
   ///  * Barrier — the layer must observe ALL items of its inputs before any
   ///    work and publishes all output items at once: a sync point in the
   ///    graph. Declared by layers whose execution couples items (a fused
-  ///    residual's epilogue reads a whole earlier tensor snapshot); the
-  ///    scheduler additionally pins a barrier on layers it dispatches
-  ///    batch-fused (weight-resident), whose single forward_batch kernel
-  ///    spans the batch by construction.
+  ///    residual's epilogue reads a whole earlier tensor snapshot). A
+  ///    batch-fused (weight-resident) layer stays PerItem: forward_batch
+  ///    covers an item range, so each of the scheduler's item chunks runs
+  ///    one fused kernel over its own items.
   enum class Readiness { PerItem, Barrier };
 
   virtual ~Layer() = default;
@@ -64,17 +64,23 @@ class Layer {
                             const std::vector<const Tensor*>& inputs,
                             int b) = 0;
 
-  /// Whole-batch fused forward: computes every item in ONE kernel dispatch
-  /// (the weight-resident execution path — each weight panel is streamed
-  /// once for the whole batch instead of once per item). Returns false when
-  /// the layer (or the installed backend) has no batch-fused form; the
-  /// caller then falls back to the per-item contract above. Must be
-  /// bit-identical to the forward_item loop. Requires prepare_batch() first
-  /// and runs on a single ExecContext (callers must not shard it).
+  /// Batch-fused forward of items [begin, end): computes them in ONE kernel
+  /// dispatch (the weight-resident execution path — each weight panel is
+  /// streamed once for the range instead of once per item). Like
+  /// forward_item it touches only its own items, so disjoint ranges may run
+  /// concurrently on different ExecContexts; the scheduler hands each item
+  /// chunk its own range. Returns false when the layer (or the installed
+  /// backend) has no batch-fused form, or the range holds fewer than two
+  /// items; the caller then falls back to the per-item contract above. Must
+  /// be bit-identical to the forward_item loop over the same items, for
+  /// any range. Requires prepare_batch() first.
   virtual bool forward_batch(ExecContext& ctx,
-                             const std::vector<const Tensor*>& inputs) {
+                             const std::vector<const Tensor*>& inputs,
+                             int begin, int end) {
     (void)ctx;
     (void)inputs;
+    (void)begin;
+    (void)end;
     return false;
   }
 
@@ -108,7 +114,8 @@ class ConvLayer final : public Layer {
   void forward_item(ExecContext& ctx, const std::vector<const Tensor*>& inputs,
                     int b) override;
   bool forward_batch(ExecContext& ctx,
-                     const std::vector<const Tensor*>& inputs) override;
+                     const std::vector<const Tensor*>& inputs, int begin,
+                     int end) override;
   /// A fused residual pins a sync point: the epilogue add consumes the skip
   /// tensor, and the work-graph treats that read as whole-tensor so the
   /// ordering against the shortcut source never depends on item-level
@@ -252,7 +259,8 @@ class ConnectedLayer final : public Layer {
   void forward_item(ExecContext& ctx, const std::vector<const Tensor*>& inputs,
                     int b) override;
   bool forward_batch(ExecContext& ctx,
-                     const std::vector<const Tensor*>& inputs) override;
+                     const std::vector<const Tensor*>& inputs, int begin,
+                     int end) override;
   [[nodiscard]] std::string name() const override { return "connected"; }
   [[nodiscard]] double flops() const override {
     return 2.0 * in_n_ * static_cast<double>(out_n_);

@@ -71,10 +71,10 @@ bool BatchScheduler::item_failed(Slot& slot, int item) {
   return slot.result.item_errors[static_cast<std::size_t>(item)] != nullptr;
 }
 
-bool BatchScheduler::any_item_failed(Slot& slot) {
+bool BatchScheduler::any_item_failed(Slot& slot, int begin, int end) {
   std::lock_guard<std::mutex> lock(item_mu_);
-  for (const auto& e : slot.result.item_errors)
-    if (e) return true;
+  for (int b = begin; b < end; ++b)
+    if (slot.result.item_errors[static_cast<std::size_t>(b)]) return true;
   return false;
 }
 
@@ -174,6 +174,7 @@ const dnn::Tensor& BatchScheduler::run(dnn::Network& net,
       enqueue(net, &input, dnn::Tensor(), /*snapshot_output=*/false);
   BatchResult result = wait(ticket);
   records_ = std::move(result.records);
+  exec_ = result.exec;
   return net.layer(net.num_layers() - 1).output();
 }
 
@@ -301,13 +302,13 @@ GraphBatchSpec BatchScheduler::build_program(Slot& slot) {
         ins.push_back(&net.layer(static_cast<std::size_t>(idx)).output());
     }
 
-    // Weight-resident layers execute batch-fused: ONE dispatch covers the
-    // whole batch (per-item im2col matrices concatenated along the GEMM N
-    // axis), so each resident weight panel is streamed once per batch
-    // instead of once per item. That single dispatch — like a fused
-    // residual fold, which must see every item of its shortcut source —
-    // pins a sync point: the layer becomes one barrier task. A barrier
-    // task runs on ONE pool worker; cross-batch overlap refills the others.
+    // Weight-resident layers execute batch-fused: each item chunk runs ONE
+    // dispatch over its own items (per-item im2col matrices concatenated
+    // along the GEMM N axis), so each resident weight panel is streamed
+    // once per chunk instead of once per item, and the layer keeps the
+    // per-item readiness and width of its chunks. Only a fused residual
+    // fold, which must see every item of its shortcut source, pins a sync
+    // point (one barrier task over the whole batch).
     const auto* conv = dynamic_cast<const dnn::ConvLayer*>(&layer);
     const bool want_batch_fused =
         nb > 1 &&
@@ -319,39 +320,41 @@ GraphBatchSpec BatchScheduler::build_program(Slot& slot) {
     GraphLayerSpec L;
     L.inputs = layer.input_indices();
     L.out_key = &layer.output();
-    L.barrier =
-        want_batch_fused || layer.readiness() == dnn::Layer::Readiness::Barrier;
+    L.barrier = layer.readiness() == dnn::Layer::Readiness::Barrier;
     L.prepare = [lp, ins] { lp->prepare_batch(ins); };
-    const std::string algo = algo_of(layer);
-    L.run = [this, lp, ins, algo, li, nb, want_batch_fused, slotp](
+    // The record names the layer's route, whatever size each chunk has: a
+    // chunk the layer declines (a single item, say) runs the bit-identical
+    // per-item path under the same label, so the merged record does not
+    // depend on the worker count.
+    const std::string algo =
+        want_batch_fused ? algo_of(layer) + "+batch" : algo_of(layer);
+    L.run = [this, lp, ins, algo, li, want_batch_fused, slotp](
                 int begin, int end, int worker, dnn::LayerRecord& rec) {
       dnn::ExecContext& ctx = *worker_ctxs_[static_cast<std::size_t>(worker)];
       rec.name = lp->name();
-      // One batch-fused dispatch covers every item, so it only runs while
-      // the batch is fault-free: a failed item would poison the fused
-      // output of all the others. With a failure aboard, fall through to
-      // the per-item path (bit-identical by the residency contract), which
-      // skips poisoned items individually.
-      if (want_batch_fused && !any_item_failed(*slotp)) {
+      rec.algo = algo;
+      // One batch-fused dispatch covers every item of the chunk, so it only
+      // runs while the chunk is fault-free: a failed item would poison the
+      // fused output of its chunk siblings. With a failure aboard, fall
+      // through to the per-item path (bit-identical by the residency
+      // contract), which skips poisoned items individually.
+      if (want_batch_fused && !any_item_failed(*slotp, begin, end)) {
         try {
           if (test_item_hook) test_item_hook(li, -1);
-          if (lp->forward_batch(ctx, ins)) {
-            rec.algo = algo + "+batch";
-            rec.items = nb;
-            rec.flops = lp->flops() * static_cast<double>(nb);
+          if (lp->forward_batch(ctx, ins, begin, end)) {
+            rec.items = end - begin;
+            rec.flops = lp->flops() * static_cast<double>(end - begin);
             return;
           }
-          // Layer declined (e.g. packing disabled): per-item fallback.
+          // Layer declined (a 1-item chunk, packing disabled): per-item.
         } catch (...) {
-          // The fused kernel failed with all items in flight: every item of
-          // this task fails together (a barrier task spans the full batch).
+          // The fused kernel failed with the chunk's items in flight: they
+          // fail together; other chunks' items are untouched.
           fail_items(*slotp, begin, end, std::current_exception());
-          rec.algo = algo + "+batch";
           rec.items = 0;
           return;
         }
       }
-      rec.algo = algo;
       rec.items = 0;
       for (int b = begin; b < end; ++b) {
         if (item_failed(*slotp, b)) continue;  // poisoned upstream: skip

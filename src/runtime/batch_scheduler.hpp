@@ -85,10 +85,10 @@ struct BatchResult {
 /// (runtime::WorkGraph): per-item layers split into item chunks whose
 /// readiness follows the items they consume, so a worker finishing its
 /// chunk of layer i starts layer i+1 on those items instead of waiting at a
-/// global barrier; layers that pin a sync point — batch-fused
-/// weight-resident dispatch and fused residual folds (Layer::readiness())
-/// — become single barrier tasks. A batch of one item is one chunk per
-/// layer. The kSlots slot ring feeds the same graph, so batch k+1's early
+/// global barrier; only layers that pin a sync point — fused residual
+/// folds (Layer::readiness()) — become single barrier tasks, which run on
+/// one pool worker while cross-batch overlap refills the others. A batch of
+/// one item is one chunk per layer. The kSlots slot ring feeds the same graph, so batch k+1's early
 /// layers overlap batch k's late layers on free workers (write-after-read
 /// edges on the shared layer tensors keep it sound).
 ///
@@ -100,11 +100,13 @@ struct BatchResult {
 /// chunk order regardless of interleaving.
 ///
 /// Layers the engine's plan marks weight-resident (and FC layers under the
-/// plan's fc_weight_resident flag) are dispatched batch-fused: one
-/// Layer::forward_batch call covers the whole batch, streaming each
-/// pack-once weight panel once per batch instead of once per item —
-/// bit-identical to the per-item path, which remains the fallback whenever
-/// the layer declines.
+/// plan's fc_weight_resident flag) are dispatched batch-fused per chunk:
+/// each of the layer's item chunks makes one Layer::forward_batch call over
+/// its own items, streaming each pack-once weight panel once per chunk
+/// instead of once per item — bit-identical to the per-item path, which
+/// remains the fallback whenever the layer declines (a 1-item chunk
+/// always does). A fused dispatch that throws fails exactly its chunk's
+/// items (BatchResult::item_errors); the other chunks run on.
 ///
 /// Two ways to drive it:
 ///  * run(net, input) — synchronous: blocks until the batch finishes and
@@ -145,11 +147,13 @@ class BatchScheduler {
   /// Each ticket must be waited exactly once.
   BatchResult wait(const BatchTicket& ticket);
 
-  /// Records of the last run() — the synchronous API's accounting surface.
-  /// Pipelined batches carry their records in their BatchResult instead.
+  /// Records and execution statistics of the last run() — the synchronous
+  /// API's accounting surface. Pipelined batches carry theirs in their
+  /// BatchResult instead.
   [[nodiscard]] const std::vector<dnn::LayerRecord>& records() const {
     return records_;
   }
+  [[nodiscard]] const ExecStats& exec_stats() const { return exec_; }
 
   /// Atomically swaps the engine's plan at a batch boundary: pauses the
   /// executor from claiming further queued batches, waits for every
@@ -176,8 +180,8 @@ class BatchScheduler {
   [[nodiscard]] std::uint64_t mem_bytes_moved() const;
 
   /// TEST-ONLY: invoked before every per-item kernel as (layer, item), and
-  /// as (layer, -1) before a batch-fused dispatch, from whichever worker
-  /// runs the work. Tests use it to inject delays (stress interleavings) or
+  /// as (layer, -1) before each chunk's batch-fused dispatch, from whichever
+  /// worker runs the work. Tests use it to inject delays (stress interleavings) or
   /// throw (exercise error propagation). Set / clear only while no batch is
   /// in flight.
   std::function<void(int layer, int item)> test_item_hook;
@@ -208,7 +212,7 @@ class BatchScheduler {
   // skip check).
   void init_item_errors(Slot& slot, int items);
   [[nodiscard]] bool item_failed(Slot& slot, int item);
-  [[nodiscard]] bool any_item_failed(Slot& slot);
+  [[nodiscard]] bool any_item_failed(Slot& slot, int begin, int end);
   void fail_item(Slot& slot, int item, std::exception_ptr e);
   void fail_items(Slot& slot, int begin, int end, std::exception_ptr e);
 
@@ -221,6 +225,7 @@ class BatchScheduler {
   std::vector<std::unique_ptr<vla::VectorEngine>> worker_engines_;
   std::vector<std::unique_ptr<dnn::ExecContext>> worker_ctxs_;
   std::vector<dnn::LayerRecord> records_;
+  ExecStats exec_;
 
   std::mutex item_mu_;  // guards every Slot::result.item_errors
   std::atomic<std::uint64_t> watchdog_wedges_{0};

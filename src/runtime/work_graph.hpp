@@ -57,8 +57,8 @@ struct ExecStats {
 
 /// One layer of a batch program handed to WorkGraph::launch.
 struct GraphLayerSpec {
-  /// Single task over all items (batch-fused dispatch / residual fold sync
-  /// point) instead of per-item chunks.
+  /// Single task over all items (a fused residual fold's sync point)
+  /// instead of per-item chunks.
   bool barrier = false;
   /// Indices of the layers whose outputs this layer consumes; -1 denotes
   /// the batch input tensor (always ready, private to the batch).

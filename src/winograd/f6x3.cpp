@@ -46,14 +46,4 @@ void weight_transform_ref(const float g[9], float out[kTileElems]) {
   for (int i = 0; i < kTileElems; ++i) out[i] = static_cast<float>(t4[i]);
 }
 
-void output_transform_ref(const float m[kTileElems], float out[36]) {
-  double in[kTileElems], t1[48], t2[48], t3[36], t4[36];
-  for (int i = 0; i < kTileElems; ++i) in[i] = m[i];
-  left_multiply<6, 8>(kAT, in, 8, t1);   // Aᵀ m           (6x8)
-  transpose<6>(t1, 6, 8, t2);            // (Aᵀ m)ᵀ        (8x6)
-  left_multiply<6, 8>(kAT, t2, 6, t3);   // Aᵀ (Aᵀ m)ᵀ = (Aᵀ m A)ᵀ (6x6)
-  transpose<6>(t3, 6, 6, t4);            // Aᵀ m A
-  for (int i = 0; i < 36; ++i) out[i] = static_cast<float>(t4[i]);
-}
-
 }  // namespace vlacnn::winograd

@@ -47,16 +47,13 @@ inline constexpr std::array<std::array<double, 8>, 6> kAT = {{
     {0.0, 1.0, -1.0, 32.0, -32.0, 1.0 / 32, -1.0 / 32, 1.0},
 }};
 
-/// Scalar reference transforms (used by tests and by the offline weight
-/// transform). All operate on row-major tiles.
+/// Scalar reference transforms (the offline weight transform and the
+/// transform micro-benchmark's baseline). Both operate on row-major tiles.
 
 /// out(8x8) = Bᵀ · d(8x8) · B
 void input_transform_ref(const float d[kTileElems], float out[kTileElems]);
 
 /// out(8x8) = G · g(3x3) · Gᵀ
 void weight_transform_ref(const float g[9], float out[kTileElems]);
-
-/// out(6x6) = Aᵀ · m(8x8) · A
-void output_transform_ref(const float m[kTileElems], float out[36]);
 
 }  // namespace vlacnn::winograd

@@ -37,7 +37,7 @@ TEST_P(DirectConvTest, MatchesReference) {
                               d.out_w(),
                           0.0f);
   std::vector<float> got = want;
-  direct_conv_ref(d, input.data(), weights.data(), want.data());
+  test::conv_direct_ref(d, input.data(), weights.data(), want.data());
 
   vla::VectorEngine eng(vlen);
   direct_conv_vla(eng, d, input.data(), weights.data(), got.data());

@@ -365,30 +365,52 @@ TEST(BatchScheduler, OneFailedItemLeavesSiblingsBitIdentical) {
   }
 }
 
-TEST(BatchScheduler, BatchFusedFailureFailsWholeBatchViaItemErrors) {
-  // A batch-fused dispatch (hook item == -1) spans every item: a throw
-  // there cannot be attributed to one request, so all items fail — still
-  // through item_errors, not a wait() throw.
+TEST(BatchScheduler, BatchFusedFailureFailsOnlyItsChunk) {
+  // A batch-fused dispatch (hook item == -1) spans one item chunk: a throw
+  // there fails exactly that chunk's items, through item_errors rather than
+  // a wait() throw, and the other chunk's items stay bit-identical to a
+  // fault-free sequential forward.
   auto net = dnn::build_vgg16(32, 4);
-  core::ConvolutionEngine engine(core::EnginePolicy::opt6loop());
+  core::EnginePolicy resident = core::EnginePolicy::fused();
+  resident.weight_resident = true;
+  constexpr int kItems = 4;
+  dnn::Tensor in(kItems, net->in_c(), net->in_h(), net->in_w());
+  in.randomize_batch(9);
+  const std::vector<float> ref = test::sequential_forward(
+      *net, core::BackendPlan::uniform(resident), in);
+  const std::size_t item_size = ref.size() / kItems;
+
+  core::ConvolutionEngine engine(resident);
   SchedulerConfig cfg;
   cfg.threads = 2;
   BatchScheduler sched(engine, cfg);
-  std::atomic<bool> saw_fused{false};
+  std::atomic<int> fused_dispatches{0};
   sched.test_item_hook = [&](int, int item) {
-    if (item == -1) {
-      saw_fused.store(true);
+    if (item == -1 && fused_dispatches.fetch_add(1) == 0)
       throw std::runtime_error("injected fused failure");
-    }
   };
-  dnn::Tensor in(4, net->in_c(), net->in_h(), net->in_w());
-  in.randomize_batch(9);
   BatchResult res = sched.wait(sched.submit(*net, std::move(in)));
-  if (saw_fused.load()) {  // plan-dependent: only when a layer fused
-    ASSERT_EQ(res.item_errors.size(), 4u);
-    for (const auto& e : res.item_errors) EXPECT_NE(e, nullptr);
-  } else {
-    EXPECT_TRUE(res.item_errors.empty());
+  ASSERT_GT(fused_dispatches.load(), 0);
+  ASSERT_EQ(res.item_errors.size(), static_cast<std::size_t>(kItems));
+  // Two workers split four items into chunks {0, 1} and {2, 3}.
+  const int failed_chunk = res.item_errors[0] != nullptr ? 0 : 1;
+  for (int b = 0; b < kItems; ++b) {
+    if (b / 2 == failed_chunk) {
+      ASSERT_NE(res.item_errors[static_cast<std::size_t>(b)], nullptr)
+          << "item " << b;
+      EXPECT_THROW(
+          std::rethrow_exception(res.item_errors[static_cast<std::size_t>(b)]),
+          std::runtime_error);
+      continue;
+    }
+    ASSERT_EQ(res.item_errors[static_cast<std::size_t>(b)], nullptr)
+        << "item " << b << " failed outside the throwing chunk";
+    ASSERT_EQ(res.output.item_size(), item_size);
+    EXPECT_EQ(std::memcmp(res.output.item_data(b),
+                          ref.data() + static_cast<std::size_t>(b) * item_size,
+                          item_size * sizeof(float)),
+              0)
+        << "item " << b << " diverged from the fault-free run";
   }
 }
 

@@ -219,7 +219,7 @@ std::vector<float> run_sparse(
   const std::vector<const dnn::Tensor*> ins{&input};
   layer.prepare_batch(ins);
   bool fused = false;
-  if (batched) fused = layer.forward_batch(ctx, ins);
+  if (batched) fused = layer.forward_batch(ctx, ins, 0, batch);
   if (!fused)
     for (int b = 0; b < batch; ++b) layer.forward_item(ctx, ins, b);
   const dnn::Tensor& out = layer.output();

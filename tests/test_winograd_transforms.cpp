@@ -15,6 +15,24 @@ namespace {
 using test::allclose;
 using test::random_vec;
 
+/// out(6x6) = Aᵀ · m(8x8) · A in double precision: the scalar oracle of the
+/// output transform.
+void output_transform_ref(const float m[kTileElems], float out[36]) {
+  double t[6][8];  // Aᵀ m
+  for (int r = 0; r < 6; ++r)
+    for (int j = 0; j < 8; ++j) {
+      double acc = 0.0;
+      for (int k = 0; k < 8; ++k) acc += kAT[r][k] * m[k * 8 + j];
+      t[r][j] = acc;
+    }
+  for (int r = 0; r < 6; ++r)
+    for (int c = 0; c < 6; ++c) {
+      double acc = 0.0;
+      for (int k = 0; k < 8; ++k) acc += t[r][k] * kAT[c][k];
+      out[r * 6 + c] = static_cast<float>(acc);
+    }
+}
+
 /// Direct 6x6 output of a 3x3 valid convolution on an 8x8 patch.
 void direct_tile_conv(const float d[64], const float g[9], float out[36]) {
   for (int y = 0; y < 6; ++y) {

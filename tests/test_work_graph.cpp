@@ -87,8 +87,25 @@ struct ModelCase {
   std::unique_ptr<dnn::Network> (*build)();
 };
 
+// VGG16's classifier head (three FC layers and the softmax) on a short
+// conv trunk: the FC layers batch-fuse under fc_weight_resident, which the
+// 4-layer VGG prefix never reaches.
+std::unique_ptr<dnn::Network> build_vgg_head() {
+  auto net = std::make_unique<dnn::Network>(3, 32, 32);
+  net->add_conv(64, 3, 1, 1, dnn::Activation::Relu, /*bn=*/false);
+  net->add_maxpool(2, 2);
+  net->add_conv(128, 3, 1, 1, dnn::Activation::Relu, /*bn=*/false);
+  net->add_maxpool(2, 2);
+  net->add_connected(256, dnn::Activation::Relu);
+  net->add_connected(256, dnn::Activation::Relu);
+  net->add_connected(10, dnn::Activation::Linear);
+  net->add_softmax();
+  return net;
+}
+
 const ModelCase kModels[] = {
     {"vgg", [] { return dnn::build_vgg16(32, 4); }},
+    {"vgg-head", build_vgg_head},
     // Residual-fused yolo: the fused shortcut pins a barrier layer whose
     // output tensor aliases its producer's — the aliasing-hazard case.
     {"yolo-res",
@@ -116,7 +133,10 @@ TEST(WorkGraph, BitIdenticalToSequentialForwardAcrossModelsBatchesWorkersPlans) 
     for (const auto& p : policies) {
       const std::vector<float> ref = test::sequential_forward(
           *net, core::BackendPlan::uniform(p.policy), make_input(*net, 8));
-      for (int batch : {1, 2, 4, 8}) {
+      // Batches 3 and 5 split unevenly over 2 and 4 workers, and batch 2
+      // over 4 workers is two 1-item chunks, which a batch-fused layer
+      // declines to the per-item path.
+      for (int batch : {1, 2, 3, 4, 5, 8}) {
         // Records are checked against the 1-worker graph run: the merge is
         // canonical, so worker count must not change them.
         const SchedRun one = run_sched(*net, p.policy, batch, 1);
@@ -132,6 +152,36 @@ TEST(WorkGraph, BitIdenticalToSequentialForwardAcrossModelsBatchesWorkersPlans) 
       }
     }
   }
+}
+
+// A weight-resident layer runs batch-fused per item chunk, not as one
+// barrier task: at batch 8 on 2 workers every layer of VGG16 (no residual
+// folds) is 2 compute tasks, and each resident layer — the FC layers
+// included — makes one fused dispatch per chunk.
+TEST(WorkGraph, WeightResidentLayersRunOneFusedDispatchPerChunk) {
+  auto net = dnn::build_vgg16(32);
+  core::EnginePolicy resident = core::EnginePolicy::fused();
+  resident.weight_resident = true;
+  std::mutex mu;
+  std::vector<int> fused_dispatches(net->num_layers(), 0);
+  const SchedRun run =
+      run_sched(*net, resident, 8, 2, [&](int layer, int item) {
+        if (item != -1) return;
+        std::lock_guard<std::mutex> lock(mu);
+        ++fused_dispatches[static_cast<std::size_t>(layer)];
+      });
+  EXPECT_EQ(run.exec.tasks, 2u * net->num_layers());
+  ASSERT_EQ(run.records.size(), net->num_layers());
+  int resident_layers = 0, resident_fc = 0;
+  for (std::size_t i = 0; i < net->num_layers(); ++i) {
+    const bool fused = run.records[i].algo.ends_with("+batch");
+    EXPECT_EQ(fused_dispatches[i], fused ? 2 : 0) << "layer " << i;
+    EXPECT_EQ(run.records[i].items, 8) << "layer " << i;
+    resident_layers += fused ? 1 : 0;
+    resident_fc += fused && run.records[i].name == "connected" ? 1 : 0;
+  }
+  EXPECT_GT(resident_layers, resident_fc);
+  EXPECT_GT(resident_fc, 0);
 }
 
 TEST(WorkGraph, OverlapStartsBeforePreviousBatchCompletes) {
